@@ -1,6 +1,6 @@
 // Command openwfvet is the project-invariant vet tool: a unitchecker
 // binary bundling the internal/analysis suite (clockcheck, seedcheck,
-// ctxcheck, protokind, depcheck), driven by the go command:
+// ctxcheck, protokind, depcheck, timercheck), driven by the go command:
 //
 //	go build -o bin/openwfvet ./cmd/openwfvet
 //	go vet -vettool=$(pwd)/bin/openwfvet ./...

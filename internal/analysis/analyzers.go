@@ -12,5 +12,6 @@ func Analyzers() []*analysis.Analyzer {
 		Ctxcheck,
 		Protokind,
 		Depcheck,
+		Timercheck,
 	}
 }

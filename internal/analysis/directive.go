@@ -21,6 +21,10 @@ const (
 	// rule: a deliberate lifecycle root or a best-effort send that
 	// must outlive the request context that triggered it.
 	AllowBackground = "allow-background"
+	// AllowTimer exempts one line from timercheck: an AfterFunc whose
+	// timer need not be stopped, such as a one-shot that fires before
+	// its owner can go away.
+	AllowTimer = "allow-timer"
 )
 
 // directive is one parsed //openwf: comment.

@@ -38,6 +38,13 @@
 //     internal/analysis may import it, keeping the runtime import
 //     graph dependency-free.
 //
+//   - timercheck: resource lifetime of timers. The timer an AfterFunc
+//     call returns (clock.Timer, *time.Timer) must not be discarded
+//     outside tests: a pending timer keeps its callback's closure
+//     reachable, and one nobody kept can never be stopped. Keep it and
+//     Stop it when its owner re-arms or shuts down, or annotate
+//     `//openwf:allow-timer <reason>`.
+//
 // Adding a new analyzer: write the run function in its own file here,
 // append it to Analyzers(), give it fixtures under testdata/src/<name>
 // with `// want "regexp"` expectations, and add a test calling

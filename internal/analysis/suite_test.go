@@ -63,6 +63,10 @@ func TestDepcheckIgnoresNonInternal(t *testing.T) {
 		analyzertest.WithPkgPath("openwf/cmd/openwfvet"))
 }
 
+func TestTimercheckFixture(t *testing.T) {
+	analyzertest.Run(t, analysis.Timercheck, "timerfixture")
+}
+
 func TestAnalyzersRegistered(t *testing.T) {
 	names := map[string]bool{}
 	for _, a := range analysis.Analyzers() {
@@ -74,7 +78,7 @@ func TestAnalyzersRegistered(t *testing.T) {
 		}
 		names[a.Name] = true
 	}
-	for _, want := range []string{"clockcheck", "seedcheck", "ctxcheck", "protokind", "depcheck"} {
+	for _, want := range []string{"clockcheck", "seedcheck", "ctxcheck", "protokind", "depcheck", "timercheck"} {
 		if !names[want] {
 			t.Fatalf("suite is missing analyzer %q", want)
 		}

@@ -362,14 +362,17 @@ func TestParticipantRebidRefreshesDeadline(t *testing.T) {
 }
 
 func TestParticipantAwardCommits(t *testing.T) {
-	p, _, sched := participant(schedule.Preferences{}, sreg("t", 0.5))
+	p, sim, sched := participant(schedule.Preferences{}, sreg("t", 0.5))
 	p.HandleCallForBids("wf", proto.CallForBids{Meta: meta("t")})
-	c, ack := p.HandleAward("wf", proto.Award{Meta: meta("t")})
+	c, lease, ack := p.HandleAward("wf", proto.Award{Meta: meta("t")})
 	if !ack.OK {
 		t.Fatalf("award refused: %s", ack.Reason)
 	}
 	if c.Task != "t" {
 		t.Errorf("commitment = %+v", c)
+	}
+	if want := sim.Now().Add(DefaultCommitLease); !lease.Equal(want) {
+		t.Errorf("lease = %v, want %v", lease, want)
 	}
 	if sched.Holds() != 0 {
 		t.Error("hold not converted")
@@ -381,7 +384,7 @@ func TestParticipantAwardCommits(t *testing.T) {
 
 func TestParticipantAwardWithoutServiceRefused(t *testing.T) {
 	p, _, _ := participant(schedule.Preferences{})
-	_, ack := p.HandleAward("wf", proto.Award{Meta: meta("t")})
+	_, _, ack := p.HandleAward("wf", proto.Award{Meta: meta("t")})
 	if ack.OK {
 		t.Error("award accepted without a service")
 	}
@@ -398,7 +401,7 @@ func TestParticipantAwardAfterExpiryRefused(t *testing.T) {
 	if n := p.ExpireHolds(); n != 1 {
 		t.Fatalf("ExpireHolds = %d", n)
 	}
-	_, ack := p.HandleAward("wf", proto.Award{Meta: meta("t")})
+	_, _, ack := p.HandleAward("wf", proto.Award{Meta: meta("t")})
 	if ack.OK {
 		t.Fatal("stale award accepted after the hold expired")
 	}
@@ -419,7 +422,7 @@ func TestParticipantAwardConflictRefused(t *testing.T) {
 	if _, err := sched.Commit("other", meta("u"), time.Time{}); err != nil {
 		t.Fatal(err)
 	}
-	_, ack := p.HandleAward("wf", proto.Award{Meta: meta("t")})
+	_, _, ack := p.HandleAward("wf", proto.Award{Meta: meta("t")})
 	if ack.OK {
 		t.Error("conflicting award accepted")
 	}
@@ -428,7 +431,7 @@ func TestParticipantAwardConflictRefused(t *testing.T) {
 func TestParticipantCancel(t *testing.T) {
 	p, _, sched := participant(schedule.Preferences{}, sreg("t", 0.5))
 	p.HandleCallForBids("wf", proto.CallForBids{Meta: meta("t")})
-	if _, ack := p.HandleAward("wf", proto.Award{Meta: meta("t")}); !ack.OK {
+	if _, _, ack := p.HandleAward("wf", proto.Award{Meta: meta("t")}); !ack.OK {
 		t.Fatal("award refused")
 	}
 	p.HandleCancel("wf", proto.Cancel{Task: "t"})
@@ -538,7 +541,7 @@ func TestParticipantAwardPrunesSession(t *testing.T) {
 	p, _, _ := participant(schedule.Preferences{}, sreg("a", 0.5), sreg("b", 0.5))
 	p.HandleCallForBids("wf", proto.CallForBids{Meta: metaAt("a", t0.Add(time.Hour), t0.Add(2*time.Hour))})
 	p.HandleCallForBids("wf", proto.CallForBids{Meta: metaAt("b", t0.Add(3*time.Hour), t0.Add(4*time.Hour))})
-	if _, ack := p.HandleAward("wf", proto.Award{Meta: metaAt("a", t0.Add(time.Hour), t0.Add(2*time.Hour))}); !ack.OK {
+	if _, _, ack := p.HandleAward("wf", proto.Award{Meta: metaAt("a", t0.Add(time.Hour), t0.Add(2*time.Hour))}); !ack.OK {
 		t.Fatalf("award refused: %+v", ack)
 	}
 	if p.SessionBids("wf") != 1 {

@@ -212,34 +212,38 @@ func (p *Participant) HandleCallForBidsBatch(workflow string, batch proto.CallFo
 }
 
 // HandleAward converts the reservation into a leased commitment. It
-// returns the commitment (for execution registration) and the
+// returns the commitment (for execution registration), its lease expiry
+// (zero when leasing is disabled or the award is refused) and the
 // acknowledgment to send. An award without a live hold — the bid
 // window expired before the award arrived — is refused even when the
 // slot is still free: under leases the slot already returned to the
 // pool and may back a rival session's fresh hold, so a stale award must
 // never silently commit. The refusal (AwardAck.OK=false) cancels the
 // award back to the auctioneer, which replans the task.
-func (p *Participant) HandleAward(workflow string, award proto.Award) (schedule.Commitment, proto.AwardAck) {
+func (p *Participant) HandleAward(workflow string, award proto.Award) (schedule.Commitment, time.Time, proto.AwardAck) {
 	meta := award.Meta
 	if _, ok := p.services.CanPerform(meta.Task); !ok {
-		return schedule.Commitment{}, proto.AwardAck{
+		return schedule.Commitment{}, time.Time{}, proto.AwardAck{
 			Task: meta.Task, OK: false, Reason: "service no longer offered",
 		}
 	}
-	c, err := p.sched.CommitHeld(workflow, meta.Task, p.leaseExpiry(p.clk.Now()))
+	lease := p.leaseExpiry(p.clk.Now())
+	c, err := p.sched.CommitHeld(workflow, meta.Task, lease)
 	if err != nil {
-		return schedule.Commitment{}, proto.AwardAck{
+		return schedule.Commitment{}, time.Time{}, proto.AwardAck{
 			Task: meta.Task, OK: false, Reason: err.Error(),
 		}
 	}
 	p.untrackBid(workflow, meta.Task)
-	return c, proto.AwardAck{Task: meta.Task, OK: true}
+	return c, lease, proto.AwardAck{Task: meta.Task, OK: true}
 }
 
 // HandleLeaseRefresh extends the leases of the listed tasks' commitments
 // and reports back the tasks whose commitments are gone (lease already
-// expired and swept, or canceled): the initiator repairs those.
-func (p *Participant) HandleLeaseRefresh(workflow string, lr proto.LeaseRefresh) proto.LeaseRefreshAck {
+// expired and swept, or canceled): the initiator repairs those. It also
+// returns the new lease expiry, zero when no commitment was extended or
+// leasing is disabled.
+func (p *Participant) HandleLeaseRefresh(workflow string, lr proto.LeaseRefresh) (proto.LeaseRefreshAck, time.Time) {
 	lease := p.leaseExpiry(p.clk.Now())
 	var ack proto.LeaseRefreshAck
 	for _, task := range lr.Tasks {
@@ -247,7 +251,10 @@ func (p *Participant) HandleLeaseRefresh(workflow string, lr proto.LeaseRefresh)
 			ack.Missing = append(ack.Missing, task)
 		}
 	}
-	return ack
+	if len(ack.Missing) == len(lr.Tasks) {
+		return ack, time.Time{}
+	}
+	return ack, lease
 }
 
 // SweepLeases removes every commitment whose lease has expired and

@@ -6,6 +6,7 @@
 package clock
 
 import (
+	"slices"
 	"sync"
 	"time"
 )
@@ -63,9 +64,11 @@ func (t realTimer) Stop() bool { return t.t.Stop() }
 // Advance/AdvanceTo; Sleep and After block until the clock passes their
 // deadline. Sim is safe for concurrent use.
 type Sim struct {
-	mu      sync.Mutex
-	now     time.Time
-	waiters []*simWaiter // pending timers/sleepers, unordered
+	mu  sync.Mutex
+	now time.Time
+	// waiters are the pending timers and sleepers, unordered. A waiter
+	// leaves the slice when it fires or is stopped.
+	waiters []*simWaiter
 	seq     uint64
 }
 
@@ -74,7 +77,6 @@ type simWaiter struct {
 	seq      uint64 // insertion order for deterministic firing among equals
 	ch       chan time.Time
 	fn       func()
-	stopped  bool
 }
 
 var _ Clock = (*Sim)(nil)
@@ -138,17 +140,16 @@ type simTimer struct {
 	w *simWaiter
 }
 
+// Stop removes the waiter from the clock, so a stopped timer costs
+// nothing in later scans. It reports false once the timer has fired or
+// been stopped.
 func (t simTimer) Stop() bool {
 	if t.s == nil {
 		return false
 	}
 	t.s.mu.Lock()
 	defer t.s.mu.Unlock()
-	if t.w.stopped {
-		return false
-	}
-	t.w.stopped = true
-	return true
+	return t.s.removeLocked(t.w)
 }
 
 // Advance moves the simulated clock forward by d, firing every timer and
@@ -177,11 +178,7 @@ func (s *Sim) AdvanceTo(t time.Time) {
 			s.now = w.deadline
 		}
 		s.removeLocked(w)
-		stopped := w.stopped
 		s.mu.Unlock()
-		if stopped {
-			continue
-		}
 		if w.fn != nil {
 			// Run synchronously with respect to the advance so that
 			// a chain of timers fires deterministically, but outside
@@ -193,12 +190,11 @@ func (s *Sim) AdvanceTo(t time.Time) {
 	}
 }
 
-// nextDueLocked returns the earliest unstopped waiter with deadline ≤ t,
-// or nil.
+// nextDueLocked returns the earliest waiter with deadline ≤ t, or nil.
 func (s *Sim) nextDueLocked(t time.Time) *simWaiter {
 	var best *simWaiter
 	for _, w := range s.waiters {
-		if w.stopped || w.deadline.After(t) {
+		if w.deadline.After(t) {
 			continue
 		}
 		if best == nil || w.deadline.Before(best.deadline) ||
@@ -209,25 +205,22 @@ func (s *Sim) nextDueLocked(t time.Time) *simWaiter {
 	return best
 }
 
-func (s *Sim) removeLocked(target *simWaiter) {
+// removeLocked drops target from the waiters and reports whether it was
+// there.
+func (s *Sim) removeLocked(target *simWaiter) bool {
 	for i, w := range s.waiters {
 		if w == target {
-			s.waiters = append(s.waiters[:i], s.waiters[i+1:]...)
-			return
+			s.waiters = slices.Delete(s.waiters, i, i+1)
+			return true
 		}
 	}
+	return false
 }
 
-// PendingWaiters returns the number of outstanding (unstopped) timers and
-// sleepers. Tests use it to synchronize with goroutines entering waits.
+// PendingWaiters returns the number of outstanding timers and sleepers.
+// Tests use it to synchronize with goroutines entering waits.
 func (s *Sim) PendingWaiters() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	n := 0
-	for _, w := range s.waiters {
-		if !w.stopped {
-			n++
-		}
-	}
-	return n
+	return len(s.waiters)
 }

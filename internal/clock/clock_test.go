@@ -152,6 +152,35 @@ func TestSimClockAfterFuncStop(t *testing.T) {
 	}
 }
 
+// TestSimClockStopRemovesWaiter: a stopped timer leaves the waiter list
+// at once, not when virtual time passes its deadline, so re-armed timers
+// do not pile up in every later scan; Stop after firing reports false.
+func TestSimClockStopRemovesWaiter(t *testing.T) {
+	c := NewSim(time.Unix(0, 0))
+	for i := 0; i < 100; i++ {
+		c.AfterFunc(time.Hour, func() { t.Error("stopped AfterFunc fired") }).Stop()
+	}
+	if n := len(c.waiters); n != 0 {
+		t.Fatalf("%d stopped waiters still listed", n)
+	}
+	var fired atomic.Int32
+	keep := c.AfterFunc(time.Second, func() { fired.Add(1) })
+	drop := c.AfterFunc(2*time.Second, func() { t.Error("stopped AfterFunc fired") })
+	if !drop.Stop() {
+		t.Fatal("Stop = false on pending timer")
+	}
+	if n := len(c.waiters); n != 1 {
+		t.Fatalf("waiters = %d after Stop, want 1", n)
+	}
+	c.Advance(3 * time.Second)
+	if fired.Load() != 1 {
+		t.Fatalf("kept timer fired %d times", fired.Load())
+	}
+	if keep.Stop() {
+		t.Error("Stop = true after the timer fired")
+	}
+}
+
 func TestSimClockAfterFuncImmediate(t *testing.T) {
 	c := NewSim(time.Unix(0, 0))
 	done := make(chan struct{})

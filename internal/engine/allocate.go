@@ -97,11 +97,6 @@ func (m *Manager) runAuction(ctx context.Context, wfID string, members []proto.A
 			m.cfg.Observer.taskDecided(wfID, d.Task, "")
 			return nil
 		}
-		// Release the losing bidders' reservations promptly: a Cancel
-		// for a task the host never committed drops exactly the hold.
-		for _, loser := range d.Losers {
-			_ = m.net.Send(ctx, loser, wfID, proto.Cancel{Task: d.Task})
-		}
 		reply, err := m.net.Call(ctx, d.Winner, wfID, d.Award, m.cfg.CallTimeout)
 		if err != nil {
 			if ctx.Err() != nil {
@@ -137,6 +132,16 @@ func (m *Manager) runAuction(ctx context.Context, wfID string, members []proto.A
 		return nil
 	}
 	awardAll := func(ds []auction.Decision) error {
+		// Release every losing bidder's reservation before the first
+		// award round trip: a Cancel for a task the host never committed
+		// drops exactly the hold, and a rival session's call for bids
+		// that lands meanwhile would otherwise be declined on a slot
+		// this session has already given up.
+		for _, d := range ds {
+			for _, loser := range d.Losers {
+				_ = m.net.Send(ctx, loser, wfID, proto.Cancel{Task: d.Task})
+			}
+		}
 		for _, d := range ds {
 			if err := award(d); err != nil {
 				return err

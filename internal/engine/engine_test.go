@@ -66,10 +66,13 @@ type fakeNet struct {
 	// (default one second).
 	bidDeadline time.Duration
 
-	mu      sync.Mutex
-	sent    []proto.Body
-	calls   int
-	blocked int // calls currently gated on a blockCFB channel
+	mu   sync.Mutex
+	sent []proto.Body
+	// awardsAt records len(sent) as each Award call arrives, ordering
+	// awards against one-way sends.
+	awardsAt []int
+	calls    int
+	blocked  int // calls currently gated on a blockCFB channel
 	// down hosts fail every Call (a crashed or partitioned executor).
 	down map[proto.Addr]bool
 	// lostOnce scripts leases a host reports Missing on its next
@@ -238,6 +241,9 @@ func (f *fakeNet) Call(ctx context.Context, to proto.Addr, workflow string, body
 			Deadline:        f.clk.Now().Add(window),
 		}, nil
 	case proto.Award:
+		f.mu.Lock()
+		f.awardsAt = append(f.awardsAt, len(f.sent))
+		f.mu.Unlock()
 		if m.dropAwardAck {
 			return nil, fmt.Errorf("award ack from %q lost", to)
 		}
@@ -321,6 +327,36 @@ func TestInitiateHappyPath(t *testing.T) {
 	}
 	if plan.WorkflowID == "" {
 		t.Error("empty workflow ID")
+	}
+}
+
+// TestLoserCancelsPrecedeAwards: when one bid reply finalizes several
+// decisions, every losing bidder is released before the first award
+// round trip, so a rival session never meets a slot this session has
+// already given up.
+func TestLoserCancelsPrecedeAwards(t *testing.T) {
+	net := chainNet(t)
+	net.add("rival", &fakeMember{
+		capable:  map[model.TaskID]bool{"t1": true, "t2": true},
+		services: 2,
+	})
+	m := NewManager(net, testConfig())
+	if _, err := m.Initiate(context.Background(), spec.Must(lbl("a"), lbl("g"))); err != nil {
+		t.Fatal(err)
+	}
+	net.mu.Lock()
+	defer net.mu.Unlock()
+	var cancels []int
+	for i, b := range net.sent {
+		if _, ok := b.(proto.Cancel); ok {
+			cancels = append(cancels, i)
+		}
+	}
+	if len(cancels) != 2 || len(net.awardsAt) != 2 {
+		t.Fatalf("cancels at %v, awards at %v; want two of each", cancels, net.awardsAt)
+	}
+	if last := cancels[len(cancels)-1]; last >= net.awardsAt[0] {
+		t.Fatalf("loser cancel %d sent after the first award (%d): sent = %v", last, net.awardsAt[0], net.sent)
 	}
 }
 

@@ -127,7 +127,18 @@ type Host struct {
 	// refresh tick. Both are guarded by mu.
 	adRng   *rand.Rand
 	adTimer clock.Timer
+	// expiryTimer is the host's one calendar expiry timer, due at
+	// expiryDue (zero when none is pending); expiryGen tells a superseded
+	// timer's callback that a newer timer owns the sweep. All three are
+	// guarded by mu.
+	expiryTimer clock.Timer
+	expiryDue   time.Time
+	expiryGen   uint64
 }
+
+// expirySlack is how long after a deadline the host sweeps for it, so
+// the calendar's strict After comparison sees the deadline as passed.
+const expirySlack = 10 * time.Millisecond
 
 // New builds a host from its configuration. The host is inert until
 // Attach connects it to a transport endpoint.
@@ -223,6 +234,10 @@ func (h *Host) Close() error {
 	if h.adTimer != nil {
 		h.adTimer.Stop()
 		h.adTimer = nil
+	}
+	if h.expiryTimer != nil {
+		h.expiryTimer.Stop()
+		h.expiryTimer, h.expiryDue = nil, time.Time{}
 	}
 	h.mu.Unlock()
 	h.cancel()
@@ -430,32 +445,29 @@ func (h *Host) process(env proto.Envelope) {
 		resp := h.Participant.HandleCallForBids(env.Workflow, b)
 		if bid, ok := resp.(proto.Bid); ok {
 			// Release the reservation if no award arrives in time.
-			window := bid.Deadline.Sub(h.clk.Now()) + 10*time.Millisecond
-			h.clk.AfterFunc(window, func() { h.Participant.ExpireHolds() })
+			h.armExpiry(bid.Deadline)
 		}
 		h.reply(env, resp)
 
 	case proto.CallForBidsBatch:
 		resp := h.Participant.HandleCallForBidsBatch(env.Workflow, b)
 		if len(resp.Bids) > 0 {
-			// One expiry timer covers the whole batch: every bid shares
-			// the batch deadline.
-			window := resp.Bids[0].Deadline.Sub(h.clk.Now()) + 10*time.Millisecond
-			h.clk.AfterFunc(window, func() { h.Participant.ExpireHolds() })
+			// Every bid of the batch shares the batch deadline.
+			h.armExpiry(resp.Bids[0].Deadline)
 		}
 		h.reply(env, resp)
 
 	case proto.Award:
-		c, ack := h.Participant.HandleAward(env.Workflow, b)
+		c, lease, ack := h.Participant.HandleAward(env.Workflow, b)
 		if ack.OK {
 			h.Exec.Register(env.Workflow, c)
-			h.armLeaseSweep()
+			h.armExpiry(lease)
 		}
 		h.reply(env, ack)
 
 	case proto.LeaseRefresh:
-		ack := h.Participant.HandleLeaseRefresh(env.Workflow, b)
-		h.armLeaseSweep()
+		ack, lease := h.Participant.HandleLeaseRefresh(env.Workflow, b)
+		h.armExpiry(lease)
 		h.reply(env, ack)
 
 	case proto.Cancel:
@@ -490,35 +502,54 @@ func (h *Host) process(env proto.Envelope) {
 	}
 }
 
-// armLeaseSweep schedules a sweep at the earliest commitment lease
-// expiry. A fresh timer is armed on every award and refresh (mirroring
-// the bid-expiry timers); a sweep that still finds future leases re-arms,
-// so the chain only goes quiet when the calendar holds no leased
-// commitments.
-func (h *Host) armLeaseSweep() {
-	next, ok := h.Schedule.NextLeaseExpiry()
-	if !ok {
+// armExpiry makes sure the host's expiry timer fires by deadline +
+// expirySlack. A firm bid's hold deadline, an award's lease or a lease
+// refresh passes its deadline in directly, so the award path never scans
+// the calendar. The timer is re-armed only for a deadline earlier than
+// the pending one: a later deadline is picked up by the sweep the
+// pending timer runs. A zero deadline (a lease-less commitment) never
+// expires.
+func (h *Host) armExpiry(deadline time.Time) {
+	if deadline.IsZero() {
 		return
 	}
-	window := next.Sub(h.clk.Now()) + 10*time.Millisecond
-	h.clk.AfterFunc(window, h.sweepLeases)
+	due := deadline.Add(expirySlack)
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	if h.closed || (!h.expiryDue.IsZero() && !due.Before(h.expiryDue)) {
+		return
+	}
+	if h.expiryTimer != nil {
+		h.expiryTimer.Stop()
+	}
+	h.expiryGen++
+	gen := h.expiryGen
+	h.expiryDue = due
+	h.expiryTimer = h.clk.AfterFunc(due.Sub(h.clk.Now()), func() { h.sweepExpired(gen) })
 }
 
-// sweepLeases drops every commitment whose lease lapsed — the initiator
-// stopped refreshing (it died, or it canceled and the cancel was lost) —
-// and the execution state that depended on it, returning the slots to the
-// pool.
-func (h *Host) sweepLeases() {
+// sweepExpired is the expiry timer's callback. It releases every hold
+// whose bid deadline passed without an award, and drops every commitment
+// whose lease lapsed — the initiator stopped refreshing (it died, or it
+// canceled and the cancel was lost) — together with the execution state
+// that depended on it, returning the slots to the pool. It then re-arms
+// at the calendar's next deadline. A callback whose timer was superseded
+// by an earlier one returns at once: the newer timer owns the sweep.
+func (h *Host) sweepExpired(gen uint64) {
 	h.mu.Lock()
-	closed := h.closed
-	h.mu.Unlock()
-	if closed {
+	if h.closed || gen != h.expiryGen {
+		h.mu.Unlock()
 		return
 	}
+	h.expiryTimer, h.expiryDue = nil, time.Time{}
+	h.mu.Unlock()
+	h.Participant.ExpireHolds()
 	for _, c := range h.Participant.SweepLeases() {
 		h.Exec.Cancel(c.Workflow, c.Task)
 	}
-	h.armLeaseSweep()
+	if next, ok := h.Schedule.NextExpiry(); ok {
+		h.armExpiry(next)
+	}
 }
 
 // Reset wipes the host's volatile protocol state — calendar, firm bids,

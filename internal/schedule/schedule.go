@@ -347,10 +347,9 @@ func (m *Manager) registerBands(k key, r *record) {
 	}
 }
 
-// dropBands acquires the record's band shards and unregisters it. Callers
-// hold the record's key shard (key locks always precede band locks).
-func (m *Manager) dropBands(k key, r *record) {
-	m.lockBands(r.mask)
+// unregisterBands removes a record from the band shards in its mask.
+// Callers hold every shard in the mask.
+func (m *Manager) unregisterBands(k key, r *record) {
 	mask := r.mask
 	for i := 0; mask != 0; i++ {
 		if mask&1 != 0 {
@@ -358,6 +357,13 @@ func (m *Manager) dropBands(k key, r *record) {
 		}
 		mask >>= 1
 	}
+}
+
+// dropBands acquires the record's band shards and unregisters it. Callers
+// hold the record's key shard (key locks always precede band locks).
+func (m *Manager) dropBands(k key, r *record) {
+	m.lockBands(r.mask)
+	m.unregisterBands(k, r)
 	m.unlockBands(r.mask)
 }
 
@@ -385,6 +391,19 @@ func (m *Manager) reserveCapacity() error {
 
 func (m *Manager) releaseCapacity() { m.busy.Add(-1) }
 
+// capacityMode is how a plan treats the MaxCommitments cap.
+type capacityMode uint8
+
+const (
+	// capCheck fails a plan at capacity and reserves nothing.
+	capCheck capacityMode = iota
+	// capReserve reserves one slot for a new record; the caller inserts
+	// the record or returns the slot with releaseCapacity.
+	capReserve
+	// capCarry reuses the slot of the record the plan replaces.
+	capCarry
+)
+
 // --- planning ---
 
 // CanCommit evaluates whether the host could commit to the task described
@@ -394,7 +413,7 @@ func (m *Manager) releaseCapacity() { m.busy.Add(-1) }
 func (m *Manager) CanCommit(meta proto.TaskMeta) (Commitment, error) {
 	lockMask := m.planMask(meta)
 	m.rlockBands(lockMask)
-	c, _, err := m.planUnder(meta, lockMask, false)
+	c, err := m.planUnder(meta, lockMask, capCheck)
 	m.runlockBands(lockMask)
 	return c, err
 }
@@ -404,6 +423,26 @@ func (m *Manager) CanCommit(meta proto.TaskMeta) (Commitment, error) {
 // Arbitration is first-hold-wins: the earlier reservation stands and the
 // later session must bid elsewhere or retry with a different window.
 var ErrSlotBusy = errors.New("schedule: slot busy")
+
+// SlotBusyError is the conflict a plan hit: Task overlaps the busy
+// interval [BlockerStart, BlockerEnd) of BlockerTask in BlockerWorkflow,
+// the earliest-sequenced record it overlaps. It unwraps to ErrSlotBusy.
+// The message is formatted only when Error is called: the batched bid
+// path declines conflicts without ever reading it.
+type SlotBusyError struct {
+	Task                     model.TaskID
+	BlockerTask              model.TaskID
+	BlockerWorkflow          string
+	BlockerStart, BlockerEnd time.Time
+}
+
+func (e *SlotBusyError) Error() string {
+	return fmt.Sprintf("%v: task %q conflicts with %q of workflow %q (%v–%v)",
+		ErrSlotBusy, e.Task, e.BlockerTask, e.BlockerWorkflow, e.BlockerStart, e.BlockerEnd)
+}
+
+// Unwrap makes errors.Is(err, ErrSlotBusy) hold.
+func (e *SlotBusyError) Unwrap() error { return ErrSlotBusy }
 
 // planMask returns the band shards a plan for meta must hold: the
 // candidate window's own span, or every shard when the meta is located —
@@ -418,28 +457,27 @@ func (m *Manager) planMask(meta proto.TaskMeta) uint64 {
 
 // planUnder evaluates §3.2 for one meta. Callers hold every band shard in
 // lockMask, which must cover the busy interval of any feasible plan
-// (planMask guarantees it). With reserve set, a successful plan retains a
-// capacity reservation that the caller must either convert into an
-// inserted record or return with releaseCapacity; reserved reports
-// whether the reservation was taken (failed plans always return it).
-func (m *Manager) planUnder(meta proto.TaskMeta, lockMask uint64, reserve bool) (Commitment, bool, error) {
+// (planMask guarantees it). capacity says how the plan meets the
+// MaxCommitments cap; a failed plan always returns a slot it reserved.
+func (m *Manager) planUnder(meta proto.TaskMeta, lockMask uint64, capacity capacityMode) (Commitment, error) {
 	if m.prefs.Willing != nil && !m.prefs.Willing(meta) {
-		return Commitment{}, false, fmt.Errorf("unwilling to perform %q", meta.Task)
+		return Commitment{}, fmt.Errorf("unwilling to perform %q", meta.Task)
 	}
-	reserved := false
-	if reserve {
+	switch capacity {
+	case capReserve:
 		if err := m.reserveCapacity(); err != nil {
-			return Commitment{}, false, err
+			return Commitment{}, err
 		}
-		reserved = true
-	} else if max := int64(m.prefs.MaxCommitments); max > 0 && m.busy.Load() >= max {
-		return Commitment{}, false, fmt.Errorf("at commitment capacity (%d)", m.prefs.MaxCommitments)
+	case capCheck:
+		if max := int64(m.prefs.MaxCommitments); max > 0 && m.busy.Load() >= max {
+			return Commitment{}, fmt.Errorf("at commitment capacity (%d)", m.prefs.MaxCommitments)
+		}
 	}
-	fail := func(err error) (Commitment, bool, error) {
-		if reserved {
+	fail := func(err error) (Commitment, error) {
+		if capacity == capReserve {
 			m.releaseCapacity()
 		}
-		return Commitment{}, false, err
+		return Commitment{}, err
 	}
 	if !meta.End.After(meta.Start) {
 		return fail(fmt.Errorf("task %q has an empty execution window", meta.Task))
@@ -499,12 +537,12 @@ func (m *Manager) planUnder(meta proto.TaskMeta, lockMask uint64, reserve bool) 
 		mask >>= 1
 	}
 	if blocker != nil {
-		return fail(fmt.Errorf(
-			"%w: task %q conflicts with %q of workflow %q (%v–%v)",
-			ErrSlotBusy, meta.Task, blocker.c.Task, blocker.c.Workflow,
-			blocker.c.TravelStart, blocker.c.End))
+		return fail(&SlotBusyError{
+			Task: meta.Task, BlockerTask: blocker.c.Task, BlockerWorkflow: blocker.c.Workflow,
+			BlockerStart: blocker.c.TravelStart, BlockerEnd: blocker.c.End,
+		})
 	}
-	return c, reserved, nil
+	return c, nil
 }
 
 // originUnder determines where the host will be (and from when it is
@@ -568,7 +606,7 @@ func (m *Manager) holdUnder(ks *keyShard, k key, workflow string, meta proto.Tas
 	if _, dup := ks.commits[k]; dup {
 		return Commitment{}, fmt.Errorf("already committed to %q in workflow %q", meta.Task, workflow)
 	}
-	c, _, err := m.planUnder(meta, lockMask, true)
+	c, err := m.planUnder(meta, lockMask, capReserve)
 	if err != nil {
 		return Commitment{}, err
 	}
@@ -672,6 +710,11 @@ var ErrNoHold = errors.New("schedule: no live hold")
 // auction path never takes the fresh-plan branch — participants use
 // CommitHeld so a stale award cannot land on a slot whose hold expired —
 // but direct scheduling (tests, pre-planned calendars) keeps it.
+//
+// Committing a (workflow, task) that is already committed replaces the
+// old commitment: the old record neither blocks nor serves as a travel
+// origin for the new plan, and its capacity slot carries over to the new
+// record. A plan that fails leaves the old commitment in place.
 func (m *Manager) Commit(workflow string, meta proto.TaskMeta, lease time.Time) (Commitment, error) {
 	k := key{workflow, meta.Task}
 	ks := &m.keys[m.keyIndex(k)]
@@ -681,17 +724,27 @@ func (m *Manager) Commit(workflow string, meta proto.TaskMeta, lease time.Time) 
 	if r, ok := ks.holds[k]; ok {
 		return m.convertHold(ks, k, r, lease), nil
 	}
-	m.lockBands(lockMask)
-	c, _, err := m.planUnder(meta, lockMask, true)
+	capacity, held := capReserve, lockMask
+	old := ks.commits[k]
+	if old != nil {
+		capacity, held = capCarry, lockMask|old.mask
+	}
+	m.lockBands(held)
+	defer m.unlockBands(held)
+	if old != nil {
+		m.unregisterBands(k, old)
+	}
+	c, err := m.planUnder(meta, lockMask, capacity)
 	if err != nil {
-		m.unlockBands(lockMask)
+		if old != nil {
+			m.registerBands(k, old)
+		}
 		return Commitment{}, err
 	}
 	c.Workflow = workflow
 	r := &record{c: c, seq: m.seq.Add(1), mask: m.bandMask(c.TravelStart, c.End), lease: lease}
 	ks.commits[k] = r
 	m.registerBands(k, r)
-	m.unlockBands(lockMask)
 	return c, nil
 }
 
@@ -773,21 +826,29 @@ func (m *Manager) ExpireCommitments(now time.Time) []Commitment {
 	return out
 }
 
-// NextLeaseExpiry returns the earliest commitment lease expiry, if any
-// commitment carries a lease (the host uses it to arm its sweep timer).
-func (m *Manager) NextLeaseExpiry() (time.Time, bool) {
-	var min time.Time
+// NextExpiry returns the earliest deadline on the calendar — a hold's
+// bid deadline or a commitment's lease — if any record has one
+// (lease-less commitments never expire). The host re-arms its expiry
+// timer from it after each sweep.
+func (m *Manager) NextExpiry() (time.Time, bool) {
+	var next time.Time
+	found := false
 	for i := range m.keys {
 		ks := &m.keys[i]
 		ks.mu.RLock()
+		for _, r := range ks.holds {
+			if !found || r.expiry.Before(next) {
+				next, found = r.expiry, true
+			}
+		}
 		for _, r := range ks.commits {
-			if !r.lease.IsZero() && (min.IsZero() || r.lease.Before(min)) {
-				min = r.lease
+			if !r.lease.IsZero() && (!found || r.lease.Before(next)) {
+				next, found = r.lease, true
 			}
 		}
 		ks.mu.RUnlock()
 	}
-	return min, !min.IsZero()
+	return next, found
 }
 
 // Release drops a hold without committing (the auction was lost).

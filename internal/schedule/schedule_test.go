@@ -531,10 +531,10 @@ func TestRefreshCommitLeaseExtendsAndClears(t *testing.T) {
 	}
 }
 
-func TestNextLeaseExpiry(t *testing.T) {
+func TestNextExpiry(t *testing.T) {
 	m, _ := newManager(Preferences{}, nil)
-	if _, ok := m.NextLeaseExpiry(); ok {
-		t.Fatal("NextLeaseExpiry on empty manager")
+	if _, ok := m.NextExpiry(); ok {
+		t.Fatal("NextExpiry on empty manager")
 	}
 	if _, err := m.Commit("wf", meta("a", t0.Add(time.Hour), t0.Add(2*time.Hour)), t0.Add(10*time.Minute)); err != nil {
 		t.Fatal(err)
@@ -542,14 +542,30 @@ func TestNextLeaseExpiry(t *testing.T) {
 	if _, err := m.Commit("wf", meta("b", t0.Add(3*time.Hour), t0.Add(4*time.Hour)), t0.Add(2*time.Minute)); err != nil {
 		t.Fatal(err)
 	}
-	next, ok := m.NextLeaseExpiry()
-	if !ok || !next.Equal(t0.Add(2*time.Minute)) {
-		t.Fatalf("NextLeaseExpiry = %v ok=%v, want %v", next, ok, t0.Add(2*time.Minute))
+	// A lease-less commitment has no deadline.
+	if _, err := m.Commit("wf", meta("c", t0.Add(5*time.Hour), t0.Add(6*time.Hour)), time.Time{}); err != nil {
+		t.Fatal(err)
 	}
+	next, ok := m.NextExpiry()
+	if !ok || !next.Equal(t0.Add(2*time.Minute)) {
+		t.Fatalf("NextExpiry = %v ok=%v, want %v", next, ok, t0.Add(2*time.Minute))
+	}
+	// A hold's bid deadline counts too, and wins when it is earlier.
+	if _, err := m.Hold("wf", meta("h", t0.Add(7*time.Hour), t0.Add(8*time.Hour)), t0.Add(30*time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	if next, ok = m.NextExpiry(); !ok || !next.Equal(t0.Add(30*time.Second)) {
+		t.Fatalf("NextExpiry with hold = %v ok=%v, want %v", next, ok, t0.Add(30*time.Second))
+	}
+	m.ExpireHolds(t0.Add(time.Minute))
 	m.ExpireCommitments(t0.Add(3 * time.Minute))
-	next, ok = m.NextLeaseExpiry()
+	next, ok = m.NextExpiry()
 	if !ok || !next.Equal(t0.Add(10*time.Minute)) {
-		t.Fatalf("NextLeaseExpiry after sweep = %v ok=%v", next, ok)
+		t.Fatalf("NextExpiry after sweep = %v ok=%v", next, ok)
+	}
+	m.ExpireCommitments(t0.Add(11 * time.Minute))
+	if next, ok = m.NextExpiry(); ok {
+		t.Fatalf("NextExpiry with only a lease-less commitment = %v", next)
 	}
 }
 

@@ -244,6 +244,21 @@ func TestScheduleFastPathAllocBounds(t *testing.T) {
 		})
 	})
 
+	t.Run("HoldBatchConflict", func(t *testing.T) {
+		m, _ := newManager(Preferences{}, nil)
+		if _, err := m.Commit("wf-bg", md, time.Time{}); err != nil {
+			t.Fatal(err)
+		}
+		metas := []proto.TaskMeta{md}
+		// The result slice and the conflict error; the message is never
+		// formatted on this path.
+		testutil.AllocBound(t, 2, func() {
+			if res := m.HoldBatch("wf", metas, t0.Add(time.Hour)); res[0].Err == nil {
+				t.Fatal("conflicting hold succeeded")
+			}
+		})
+	})
+
 	t.Run("HoldRelease", func(t *testing.T) {
 		m, _ := newManager(Preferences{}, nil)
 		deadline := t0.Add(time.Hour)

@@ -122,16 +122,21 @@ type Fault struct {
 // community layer uses the callback to wipe a crashed host's protocol
 // state, completing the "restart loses everything" semantics the
 // transport alone cannot provide. Callbacks run on the clock's timer
-// goroutine and must not block on further clock advances.
+// goroutine and must not block on further clock advances. Close stops
+// the faults still pending.
 func (n *Network) ScheduleFaults(faults []Fault, notify func(Fault)) {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	if n.closed {
+		return
+	}
 	for _, f := range faults {
-		f := f
-		n.clock.AfterFunc(f.At, func() {
+		n.faultTimers = append(n.faultTimers, n.clock.AfterFunc(f.At, func() {
 			n.applyFault(f)
 			if notify != nil {
 				notify(f)
 			}
-		})
+		}))
 	}
 }
 

@@ -191,7 +191,10 @@ type Network struct {
 	// stored holds store-and-forward messages awaiting reachability,
 	// in arrival order per (from, to) pair.
 	stored map[linkKey][]delivery
-	closed bool
+	// faultTimers are the armed fault schedules' timers, stopped by
+	// Close.
+	faultTimers []clock.Timer
+	closed      bool
 	// done closes when the network shuts down, waking link pumps out of
 	// latency waits so Close does not leak goroutines sleeping on long
 	// modeled delays.
@@ -467,6 +470,10 @@ func (n *Network) Close() error {
 	}
 	n.closed = true
 	close(n.done)
+	for _, t := range n.faultTimers {
+		t.Stop()
+	}
+	n.faultTimers = nil
 	n.publishLocked()
 	eps := make([]*endpoint, 0, len(n.endpoints))
 	for _, ep := range n.endpoints {
