@@ -35,16 +35,19 @@ type sessionQueue struct {
 //     time, in arrival order;
 //   - bounded concurrency: at most `workers` envelopes are being
 //     handled at once across all sessions;
-//   - no idle goroutines: a drained session releases its worker, which
-//     adopts the next runnable session or exits.
+//   - at most `workers` goroutines per host: workers start lazily, idle
+//     ones park (keeping their grown stacks for the next session), and
+//     all exit on close.
 type dispatcher struct {
 	process func(proto.Envelope)
 	workers int
 
 	mu       sync.Mutex
+	wake     sync.Cond // on mu; signalled per runnable session, broadcast on close
 	sessions map[string]*sessionQueue
 	runnable []*sessionQueue // FIFO of scheduled sessions awaiting a worker
-	active   int             // workers currently live
+	live     int             // workers started and not yet exited
+	idle     int             // parked workers no signal has claimed yet
 	closed   bool
 }
 
@@ -52,11 +55,13 @@ func newDispatcher(process func(proto.Envelope), workers int) *dispatcher {
 	if workers <= 0 {
 		workers = DefaultWorkers
 	}
-	return &dispatcher{
+	d := &dispatcher{
 		process:  process,
 		workers:  workers,
 		sessions: make(map[string]*sessionQueue),
 	}
+	d.wake.L = &d.mu
+	return d
 }
 
 // enqueue routes one envelope to its workflow's session, scheduling the
@@ -76,21 +81,42 @@ func (d *dispatcher) enqueue(env proto.Envelope) {
 	s.queue = append(s.queue, env)
 	if !s.scheduled {
 		s.scheduled = true
-		if d.active < d.workers {
-			d.active++
-			go d.run(s)
-		} else {
-			d.runnable = append(d.runnable, s)
+		d.runnable = append(d.runnable, s)
+		switch {
+		case d.idle > 0:
+			// Claim the parked worker now, not when it runs: a second
+			// enqueue before it wakes must see it as taken and start
+			// another worker rather than signal nobody.
+			d.idle--
+			d.wake.Signal()
+		case d.live < d.workers:
+			d.live++
+			go d.run()
 		}
 	}
 	d.mu.Unlock()
 }
 
-// run drains one session, then adopts further runnable sessions until
-// none remain, and exits.
-func (d *dispatcher) run(s *sessionQueue) {
+// run is one pool worker: it drains runnable sessions one at a time and
+// parks while there are none, until the dispatcher closes.
+func (d *dispatcher) run() {
+	d.mu.Lock()
 	for {
-		d.mu.Lock()
+		for len(d.runnable) == 0 && !d.closed {
+			d.idle++
+			d.wake.Wait()
+		}
+		if d.closed {
+			d.live--
+			d.mu.Unlock()
+			return
+		}
+		// Pop by shifting, so later appends reuse the backing array
+		// instead of allocating one per session.
+		s := d.runnable[0]
+		n := copy(d.runnable, d.runnable[1:])
+		d.runnable[n] = nil
+		d.runnable = d.runnable[:n]
 		for len(s.queue) > 0 && !d.closed {
 			batch := s.queue
 			s.queue = nil
@@ -105,22 +131,13 @@ func (d *dispatcher) run(s *sessionQueue) {
 		if len(s.queue) == 0 {
 			delete(d.sessions, s.id)
 		}
-		if !d.closed && len(d.runnable) > 0 {
-			next := d.runnable[0]
-			d.runnable = d.runnable[1:]
-			d.mu.Unlock()
-			s = next
-			continue
-		}
-		d.active--
-		d.mu.Unlock()
-		return
 	}
 }
 
-// close stops the dispatcher: queued envelopes are dropped and new ones
-// refused. In-flight handlers finish their current envelope; close does
-// not wait for them (host shutdown cancels their contexts).
+// close stops the dispatcher: queued envelopes are dropped, new ones
+// refused, and parked workers woken to exit. In-flight handlers finish
+// their current envelope; close does not wait for them (host shutdown
+// cancels their contexts).
 func (d *dispatcher) close() {
 	d.mu.Lock()
 	d.closed = true
@@ -128,6 +145,7 @@ func (d *dispatcher) close() {
 	for _, s := range d.sessions {
 		s.queue = nil
 	}
+	d.wake.Broadcast()
 	d.mu.Unlock()
 }
 

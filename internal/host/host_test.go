@@ -1,8 +1,11 @@
 package host
 
 import (
+	"bytes"
 	"context"
 	"fmt"
+	"runtime"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -12,6 +15,7 @@ import (
 	"openwf/internal/model"
 	"openwf/internal/proto"
 	"openwf/internal/service"
+	"openwf/internal/testutil"
 	"openwf/internal/transport/inmem"
 )
 
@@ -448,4 +452,175 @@ func TestDispatcherCloseDropsQueued(t *testing.T) {
 	if n := handled.Load(); n != 1 {
 		t.Errorf("handled = %d, want only the pre-close in-flight envelope", n)
 	}
+}
+
+// goid returns the calling goroutine's ID, parsed from its stack
+// header ("goroutine 42 [running]:").
+func goid() uint64 {
+	var buf [64]byte
+	b := buf[:runtime.Stack(buf[:], false)]
+	b = bytes.TrimPrefix(b, []byte("goroutine "))
+	id, _ := strconv.ParseUint(string(b[:bytes.IndexByte(b, ' ')]), 10, 64)
+	return id
+}
+
+// TestDispatcherReusesWorkers: once a burst has started the whole pool,
+// a stream of one-envelope sessions is served by those `workers`
+// long-lived goroutines, which park between sessions, instead of by one
+// goroutine per session; close makes the parked workers exit.
+func TestDispatcherReusesWorkers(t *testing.T) {
+	testutil.CheckGoroutines(t)
+	const workers = 8
+	const sessions = 1000
+	var mu sync.Mutex
+	ran := make(map[uint64]bool)
+	var burst sync.WaitGroup
+	release := make(chan struct{})
+	done := make(chan struct{}, 1)
+	d := newDispatcher(func(env proto.Envelope) {
+		mu.Lock()
+		ran[goid()] = true
+		mu.Unlock()
+		if strings.HasPrefix(env.Workflow, "burst") {
+			burst.Done()
+			<-release
+			return
+		}
+		done <- struct{}{}
+	}, workers)
+	// Registered after CheckGoroutines, so it runs first: the leak check
+	// then proves the parked workers exited.
+	t.Cleanup(d.close)
+	base := runtime.NumGoroutine()
+	burst.Add(workers)
+	for i := 0; i < workers; i++ {
+		d.enqueue(proto.Envelope{Workflow: fmt.Sprintf("burst-%d", i)})
+	}
+	burst.Wait() // every worker is live
+	close(release)
+	for i := 0; i < sessions; i++ {
+		d.enqueue(proto.Envelope{Workflow: fmt.Sprintf("wf-%d", i)})
+		select {
+		case <-done:
+		case <-time.After(2 * time.Second):
+			t.Fatalf("session %d not handled", i)
+		}
+	}
+	if extra := runtime.NumGoroutine() - base; extra > workers {
+		t.Errorf("%d extra goroutines while open, want ≤ %d", extra, workers)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if len(ran) != workers {
+		t.Errorf("sessions ran on %d distinct goroutines, want the %d pool workers", len(ran), workers)
+	}
+}
+
+// TestDispatcherWakeClaimsParkedWorker: with one parked worker and room
+// for a second, two sessions enqueued back to back must run on two
+// workers. Session A blocks until session B has run, so a dispatcher that
+// counts the parked worker as idle until it actually wakes — and so
+// signals it a second time for B instead of starting another worker —
+// deadlocks here.
+func TestDispatcherWakeClaimsParkedWorker(t *testing.T) {
+	testutil.CheckGoroutines(t)
+	for round := 0; round < 20; round++ {
+		warm := make(chan struct{})
+		bDone := make(chan struct{})
+		aErr := make(chan error, 1)
+		d := newDispatcher(func(env proto.Envelope) {
+			switch env.Workflow {
+			case "warm":
+				close(warm)
+			case "a":
+				select {
+				case <-bDone:
+					aErr <- nil
+				case <-time.After(2 * time.Second):
+					aErr <- fmt.Errorf("session b never ran while a held the only woken worker")
+				}
+			case "b":
+				close(bDone)
+			}
+		}, 2)
+		d.enqueue(proto.Envelope{Workflow: "warm"})
+		<-warm
+		deadline := time.Now().Add(2 * time.Second)
+		for parked := false; !parked; {
+			if time.Now().After(deadline) {
+				d.close()
+				t.Fatalf("round %d: the warm worker never parked", round)
+			}
+			d.mu.Lock()
+			parked = d.idle == 1
+			d.mu.Unlock()
+			runtime.Gosched()
+		}
+		d.enqueue(proto.Envelope{Workflow: "a"})
+		d.enqueue(proto.Envelope{Workflow: "b"})
+		err := <-aErr
+		d.close()
+		if err != nil {
+			t.Fatalf("round %d: %v", round, err)
+		}
+	}
+}
+
+// deepHandler stands in for a real handler's call chain (process →
+// Handle → reply → send → encode): it touches about 13 KB of stack, so a
+// worker that starts on a fresh goroutine has to grow its stack first.
+//
+//go:noinline
+func deepHandler(depth int) byte {
+	var frame [512]byte
+	frame[depth%len(frame)] = byte(depth)
+	if depth == 0 {
+		return frame[0]
+	}
+	return deepHandler(depth-1) + frame[len(frame)-1-depth%len(frame)]
+}
+
+// dispatchSession returns a one-envelope-session step on a Workers: 8
+// dispatcher with a deep handler: enqueue the only envelope of a new
+// session and wait until its handler has run.
+func dispatchSession(tb testing.TB) func() {
+	done := make(chan struct{}, 1)
+	var sink byte
+	d := newDispatcher(func(env proto.Envelope) {
+		sink += deepHandler(24)
+		done <- struct{}{}
+	}, DefaultWorkers)
+	tb.Cleanup(d.close)
+	// Rotate workflow IDs so each op opens a fresh session even when the
+	// previous one's worker has not retired it yet.
+	ids := make([]string, 64)
+	for i := range ids {
+		ids[i] = fmt.Sprintf("wf-%d", i)
+	}
+	next := 0
+	return func() {
+		d.enqueue(proto.Envelope{Workflow: ids[next%len(ids)]})
+		next++
+		<-done
+	}
+}
+
+// BenchmarkDispatchSessions is the host-dispatch layer row: one
+// one-envelope session enqueued and waited for per op.
+func BenchmarkDispatchSessions(b *testing.B) {
+	step := dispatchSession(b)
+	step()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		step()
+	}
+}
+
+// TestDispatchSessionAllocBound pins the steady-state cost of a
+// one-envelope session at two allocations, the session record and its
+// queue: no goroutine start, and the runnable list reuses its backing
+// array.
+func TestDispatchSessionAllocBound(t *testing.T) {
+	testutil.AllocBound(t, 2, dispatchSession(t))
 }
