@@ -37,7 +37,10 @@ type sessionQueue struct {
 //     handled at once across all sessions;
 //   - at most `workers` goroutines per host: workers start lazily, idle
 //     ones park (keeping their grown stacks for the next session), and
-//     all exit on close.
+//     all exit on close;
+//   - retired session records, queue array included, are recycled
+//     through a free list of at most `workers` entries, so a stream of
+//     one-envelope sessions allocates nothing in steady state.
 type dispatcher struct {
 	process func(proto.Envelope)
 	workers int
@@ -46,6 +49,7 @@ type dispatcher struct {
 	wake     sync.Cond // on mu; signalled per runnable session, broadcast on close
 	sessions map[string]*sessionQueue
 	runnable []*sessionQueue // FIFO of scheduled sessions awaiting a worker
+	free     []*sessionQueue // retired records with empty queues, ≤ workers
 	live     int             // workers started and not yet exited
 	idle     int             // parked workers no signal has claimed yet
 	closed   bool
@@ -75,7 +79,14 @@ func (d *dispatcher) enqueue(env proto.Envelope) {
 	}
 	s, ok := d.sessions[env.Workflow]
 	if !ok {
-		s = &sessionQueue{id: env.Workflow}
+		if n := len(d.free); n > 0 {
+			s = d.free[n-1]
+			d.free[n-1] = nil
+			d.free = d.free[:n-1]
+			s.id = env.Workflow
+		} else {
+			s = &sessionQueue{id: env.Workflow}
+		}
 		d.sessions[env.Workflow] = s
 	}
 	s.queue = append(s.queue, env)
@@ -124,12 +135,22 @@ func (d *dispatcher) run() {
 			for _, env := range batch {
 				d.process(env)
 			}
+			clear(batch)
 			d.mu.Lock()
+			if s.queue == nil {
+				// Nothing arrived meanwhile: the drained batch's array
+				// becomes the queue again.
+				s.queue = batch[:0]
+			}
 		}
 		// Session drained (or the dispatcher is closing): retire it.
 		s.scheduled = false
 		if len(s.queue) == 0 {
 			delete(d.sessions, s.id)
+			if len(d.free) < d.workers {
+				s.id = ""
+				d.free = append(d.free, s)
+			}
 		}
 	}
 }

@@ -121,19 +121,87 @@ type Host struct {
 	endpoint transport.Endpoint
 	members  []proto.Addr
 	nextReq  uint64
-	pending  map[uint64]chan proto.Envelope
+	pending  map[uint64]*pendingCall
 	closed   bool
 	// adRng jitters the advertiser cadence; adTimer is the pending
 	// refresh tick. Both are guarded by mu.
 	adRng   *rand.Rand
 	adTimer clock.Timer
-	// expiryTimer is the host's one calendar expiry timer, due at
-	// expiryDue (zero when none is pending); expiryGen tells a superseded
-	// timer's callback that a newer timer owns the sweep. All three are
-	// guarded by mu.
-	expiryTimer clock.Timer
-	expiryDue   time.Time
-	expiryGen   uint64
+	// expiry is the host's one calendar expiry timer and callTimer its
+	// one call-timeout timer. Both are guarded by mu.
+	expiry    dueTimer
+	callTimer dueTimer
+}
+
+// dueTimer is one host timer that fires at the earliest due time it has
+// been asked for. Its fields are guarded by the host's mu.
+type dueTimer struct {
+	// fire is the sweep the timer runs, set once by New.
+	fire func(gen uint64)
+	t    clock.Timer
+	due  time.Time // zero when no timer is pending
+	// gen tells a superseded timer's callback that a newer timer owns
+	// the sweep.
+	gen uint64
+}
+
+// arm makes sure the timer runs its sweep by due. It re-arms only for a
+// due time earlier than the pending one: a later one is picked up by the
+// sweep the pending timer runs.
+func (d *dueTimer) arm(clk clock.Clock, due time.Time) {
+	if !d.due.IsZero() && !due.Before(d.due) {
+		return
+	}
+	d.stop()
+	d.gen++
+	gen := d.gen
+	d.due = due
+	d.t = clk.AfterFunc(due.Sub(clk.Now()), func() { d.fire(gen) })
+}
+
+// claim reports whether gen is the pending timer's generation, and if so
+// marks the timer as fired, so its sweep owns re-arming.
+func (d *dueTimer) claim(gen uint64) bool {
+	if gen != d.gen {
+		return false
+	}
+	d.t, d.due = nil, time.Time{}
+	return true
+}
+
+func (d *dueTimer) stop() {
+	if d.t != nil {
+		d.t.Stop()
+		d.t, d.due = nil, time.Time{}
+	}
+}
+
+// callOutcome is how a Call ended.
+type callOutcome uint8
+
+const (
+	callReplied callOutcome = iota + 1
+	callTimedOut
+	callClosed
+)
+
+// pendingCall is one Call awaiting its reply. Whoever removes it from
+// Host.pending completes it — the reply router, the timeout sweep, Close
+// or the caller giving up on its context — by setting outcome (and
+// reply) and then closing done. So a call completes exactly once, and a
+// late reply finds no entry to reach.
+type pendingCall struct {
+	done     chan struct{}
+	reply    proto.Body
+	outcome  callOutcome
+	deadline time.Time
+}
+
+// complete records the call's outcome and wakes its caller. Only the
+// party that removed the call from Host.pending, under mu, completes it.
+func (pc *pendingCall) complete(outcome callOutcome, reply proto.Body) {
+	pc.outcome, pc.reply = outcome, reply
+	close(pc.done)
 }
 
 // expirySlack is how long after a deadline the host sweeps for it, so
@@ -156,8 +224,9 @@ func New(cfg Config) (*Host, error) {
 		trace:     cfg.Trace,
 		Fragments: fragment.NewManager(),
 		Services:  service.NewManager(clk),
-		pending:   make(map[uint64]chan proto.Envelope),
+		pending:   make(map[uint64]*pendingCall),
 	}
+	h.expiry.fire, h.callTimer.fire = h.sweepExpired, h.sweepCalls
 	h.ctx, h.cancel = context.WithCancel(context.Background()) //openwf:allow-background lifecycle root for the host's dispatcher and invocations, canceled by Close
 	h.Schedule = schedule.NewManagerTuned(clk, cfg.Mobility, cfg.Prefs, cfg.Schedule)
 	h.Participant = auction.NewParticipant(clk, h.Services, h.Schedule, cfg.BidWindow)
@@ -227,18 +296,16 @@ func (h *Host) Close() error {
 	}
 	h.closed = true
 	ep := h.endpoint
-	for id, ch := range h.pending {
-		close(ch)
+	for id, pc := range h.pending {
 		delete(h.pending, id)
+		pc.complete(callClosed, nil)
 	}
 	if h.adTimer != nil {
 		h.adTimer.Stop()
 		h.adTimer = nil
 	}
-	if h.expiryTimer != nil {
-		h.expiryTimer.Stop()
-		h.expiryTimer, h.expiryDue = nil, time.Time{}
-	}
+	h.expiry.stop()
+	h.callTimer.stop()
 	h.mu.Unlock()
 	h.cancel()
 	h.dispatch.close()
@@ -310,7 +377,8 @@ func (h *Host) record(dir trace.Dir, peer proto.Addr, env proto.Envelope) {
 // The context cancels the wait promptly (returning ctx.Err()); timeout is
 // the clock-paced bound on the reply (which keeps per-query deadlines
 // meaningful under a simulated clock, where wall-clock context deadlines
-// would not advance).
+// would not advance). The deadline is enforced by the host's one
+// call-timeout timer, not by a timer per call.
 func (h *Host) Call(ctx context.Context, to proto.Addr, workflow string, body proto.Body, timeout time.Duration) (proto.Body, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -322,43 +390,80 @@ func (h *Host) Call(ctx context.Context, to proto.Addr, workflow string, body pr
 	}
 	h.nextReq++
 	id := h.nextReq
-	ch := make(chan proto.Envelope, 1)
-	h.pending[id] = ch
+	pc := &pendingCall{done: make(chan struct{}), deadline: h.clk.Now().Add(timeout)}
+	h.pending[id] = pc
+	h.callTimer.arm(h.clk, pc.deadline)
 	ep := h.endpoint
 	h.mu.Unlock()
 
-	cleanup := func() {
-		h.mu.Lock()
-		delete(h.pending, id)
-		h.mu.Unlock()
-	}
 	env := proto.Envelope{ReqID: id, Workflow: workflow, Body: body}
 	if err := ep.Send(ctx, to, env); err != nil {
-		cleanup()
-		return nil, err
-	}
-	select {
-	case reply, ok := <-ch:
-		cleanup()
-		if !ok {
-			return nil, fmt.Errorf("host %q: closed while calling %q", h.addr, to)
+		if h.abandon(id) {
+			return nil, err
 		}
-		return reply.Body, nil
-	case <-ctx.Done():
-		cleanup()
-		return nil, ctx.Err()
-	case <-h.clk.After(timeout):
-		cleanup()
+	} else {
+		select {
+		case <-pc.done:
+		case <-ctx.Done():
+			if h.abandon(id) {
+				return nil, ctx.Err()
+			}
+		}
+	}
+	// The call's entry was removed by whoever completes it.
+	<-pc.done
+	switch pc.outcome {
+	case callReplied:
+		return pc.reply, nil
+	case callClosed:
+		return nil, fmt.Errorf("host %q: closed while calling %q", h.addr, to)
+	default:
 		return nil, fmt.Errorf("call to %q (%s) timed out after %v", to, body.Kind(), timeout)
 	}
 }
 
-// Handle is the host's transport handler. Correlated replies are routed
-// straight to their waiting Call (a non-blocking channel send); every
-// other envelope is dispatched to its workflow's session worker, so the
-// traffic of N concurrent workflows is handled by up to Config.Workers
-// goroutines at once while each single workflow still sees its messages
-// strictly in arrival order. The transport may keep invoking Handle
+// abandon removes a call its caller gives up on, reporting whether the
+// caller owns it. When it reports false, another party already removed
+// the call and completes it.
+func (h *Host) abandon(id uint64) bool {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	if _, ok := h.pending[id]; !ok {
+		return false
+	}
+	delete(h.pending, id)
+	return true
+}
+
+// sweepCalls is the call-timeout timer's callback: it fails every call
+// whose deadline has passed and re-arms at the earliest remaining one.
+func (h *Host) sweepCalls(gen uint64) {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	if h.closed || !h.callTimer.claim(gen) {
+		return
+	}
+	now := h.clk.Now()
+	var next time.Time
+	for id, pc := range h.pending {
+		if !now.Before(pc.deadline) {
+			delete(h.pending, id)
+			pc.complete(callTimedOut, nil)
+		} else if next.IsZero() || pc.deadline.Before(next) {
+			next = pc.deadline
+		}
+	}
+	if !next.IsZero() {
+		h.callTimer.arm(h.clk, next)
+	}
+}
+
+// Handle is the host's transport handler. Correlated replies complete
+// their waiting Call in place (see pendingCall); every other envelope is
+// dispatched to its workflow's session worker, so the traffic of N
+// concurrent workflows is handled by up to Config.Workers goroutines at
+// once while each single workflow still sees its messages strictly in
+// arrival order. The transport may keep invoking Handle
 // sequentially (the in-memory network's endpoint pump does); the
 // dispatcher is what turns that serial feed into per-session
 // concurrency.
@@ -513,19 +618,11 @@ func (h *Host) armExpiry(deadline time.Time) {
 	if deadline.IsZero() {
 		return
 	}
-	due := deadline.Add(expirySlack)
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	if h.closed || (!h.expiryDue.IsZero() && !due.Before(h.expiryDue)) {
-		return
+	if !h.closed {
+		h.expiry.arm(h.clk, deadline.Add(expirySlack))
 	}
-	if h.expiryTimer != nil {
-		h.expiryTimer.Stop()
-	}
-	h.expiryGen++
-	gen := h.expiryGen
-	h.expiryDue = due
-	h.expiryTimer = h.clk.AfterFunc(due.Sub(h.clk.Now()), func() { h.sweepExpired(gen) })
 }
 
 // sweepExpired is the expiry timer's callback. It releases every hold
@@ -537,11 +634,10 @@ func (h *Host) armExpiry(deadline time.Time) {
 // by an earlier one returns at once: the newer timer owns the sweep.
 func (h *Host) sweepExpired(gen uint64) {
 	h.mu.Lock()
-	if h.closed || gen != h.expiryGen {
+	if h.closed || !h.expiry.claim(gen) {
 		h.mu.Unlock()
 		return
 	}
-	h.expiryTimer, h.expiryDue = nil, time.Time{}
 	h.mu.Unlock()
 	h.Participant.ExpireHolds()
 	for _, c := range h.Participant.SweepLeases() {
@@ -711,12 +807,9 @@ func (h *Host) routeReply(env proto.Envelope) {
 		return
 	}
 	h.mu.Lock()
-	ch, ok := h.pending[env.ReqID]
-	if ok {
+	defer h.mu.Unlock()
+	if pc, ok := h.pending[env.ReqID]; ok {
 		delete(h.pending, env.ReqID)
-	}
-	h.mu.Unlock()
-	if ok {
-		ch <- env
+		pc.complete(callReplied, env.Body)
 	}
 }

@@ -622,5 +622,73 @@ func BenchmarkDispatchSessions(b *testing.B) {
 // queue: no goroutine start, and the runnable list reuses its backing
 // array.
 func TestDispatchSessionAllocBound(t *testing.T) {
-	testutil.AllocBound(t, 2, dispatchSession(t))
+	testutil.AllocBound(t, 0, dispatchSession(t))
+}
+
+// TestDispatcherRecyclesSessions: a burst of 1,000 sessions that are all
+// live at once retires into a free list of at most `workers` records,
+// and the sessions that reuse those records see only their own
+// envelopes — none of a workflow that used the record before.
+func TestDispatcherRecyclesSessions(t *testing.T) {
+	const workers, sessions, perSession = 4, 1000, 3
+	var mu sync.Mutex
+	seen := make(map[string][]int)
+	var handled sync.WaitGroup
+	gate := make(chan struct{})
+	d := newDispatcher(func(env proto.Envelope) {
+		<-gate
+		mu.Lock()
+		seen[env.Workflow] = append(seen[env.Workflow], int(env.ReqID))
+		mu.Unlock()
+		handled.Done()
+	}, workers)
+	t.Cleanup(d.close)
+	round := func(prefix string) {
+		t.Helper()
+		handled.Add(sessions * perSession)
+		var senders sync.WaitGroup
+		for g := 0; g < 4; g++ {
+			senders.Add(1)
+			go func() {
+				defer senders.Done()
+				for i := g; i < sessions; i += 4 {
+					for k := 0; k < perSession; k++ {
+						d.enqueue(proto.Envelope{Workflow: fmt.Sprintf("%s-%d", prefix, i), ReqID: uint64(k)})
+					}
+				}
+			}()
+		}
+		senders.Wait()
+		if n := d.ActiveSessions(); n != sessions {
+			t.Fatalf("%s: %d live sessions, want all %d at once", prefix, n, sessions)
+		}
+		close(gate)
+		handled.Wait()
+		gate = make(chan struct{})
+		deadline := time.Now().Add(2 * time.Second)
+		for d.ActiveSessions() != 0 {
+			if time.Now().After(deadline) {
+				t.Fatalf("%s: sessions never retired", prefix)
+			}
+			runtime.Gosched()
+		}
+		d.mu.Lock()
+		free := len(d.free)
+		d.mu.Unlock()
+		if free > workers {
+			t.Fatalf("%s: free list holds %d records, want ≤ %d", prefix, free, workers)
+		}
+	}
+	round("first")
+	round("second")
+	mu.Lock()
+	defer mu.Unlock()
+	if len(seen) != 2*sessions {
+		t.Fatalf("%d workflows handled, want %d", len(seen), 2*sessions)
+	}
+	for wf, got := range seen {
+		if fmt.Sprint(got) != "[0 1 2]" {
+			t.Fatalf("workflow %s handled %v, want [0 1 2]", wf, got)
+		}
+	}
 }

@@ -822,10 +822,16 @@ func (e *endpoint) pump() {
 // crashed) refuses pushes until Restart lifts the flag: push and crash
 // purge serialize on the mailbox's own lock, so no frame can slip into a
 // crashed host's inbox behind a stale snapshot.
+//
+// The queue is items[head:]. pop advances head and clears the slot it
+// took, and a drained queue resets to items[:0], so a mailbox that keeps
+// up with its sender reuses one backing array instead of growing a new
+// one per push.
 type mailbox struct {
 	mu     sync.Mutex
 	cond   *sync.Cond
 	items  []delivery
+	head   int
 	closed bool
 	dark   bool
 }
@@ -844,6 +850,14 @@ func (m *mailbox) push(d delivery) bool {
 	if m.closed || m.dark {
 		return false
 	}
+	if len(m.items) == cap(m.items) && m.head >= len(m.items)/2 {
+		// Full, and at least half of it is popped slots: slide the
+		// queue down instead of growing, so a queue that never quite
+		// drains stays bounded by twice its length.
+		n := copy(m.items, m.items[m.head:])
+		clear(m.items[n:])
+		m.items, m.head = m.items[:n], 0
+	}
 	m.items = append(m.items, d)
 	m.cond.Signal()
 	return true
@@ -859,8 +873,8 @@ func (m *mailbox) setDark(dark bool) []delivery {
 	if !dark {
 		return nil
 	}
-	out := m.items
-	m.items = nil
+	out := m.items[m.head:]
+	m.items, m.head = nil, 0
 	return out
 }
 
@@ -869,14 +883,18 @@ func (m *mailbox) setDark(dark bool) []delivery {
 func (m *mailbox) pop() (delivery, bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	for len(m.items) == 0 && !m.closed {
+	for m.head == len(m.items) && !m.closed {
 		m.cond.Wait()
 	}
-	if len(m.items) == 0 {
+	if m.head == len(m.items) {
 		return delivery{}, false
 	}
-	d := m.items[0]
-	m.items = m.items[1:]
+	d := m.items[m.head]
+	m.items[m.head] = delivery{}
+	m.head++
+	if m.head == len(m.items) {
+		m.items, m.head = m.items[:0], 0
+	}
 	return d, true
 }
 
@@ -884,6 +902,6 @@ func (m *mailbox) close() {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.closed = true
-	m.items = nil
+	m.items, m.head = nil, 0
 	m.cond.Broadcast()
 }
