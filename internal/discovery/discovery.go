@@ -24,6 +24,10 @@
 //     miss): "nobody advertises this" must never silently become "ask
 //     nobody".
 //
+// RouteByLabels goes one step further for fragment queries: it also says
+// what to ask each selected member — the frontier labels its complete
+// advertisement lists, or the whole frontier for a partial entry.
+//
 // The index is driven entirely by the injected clock, so every TTL
 // property is testable on the simulated clock without wall time.
 package discovery
@@ -138,24 +142,49 @@ func (x *Index) ObservePartial(from proto.Addr, labels []model.LabelID, tasks []
 	now := x.clk.Now()
 	x.mu.Lock()
 	defer x.mu.Unlock()
-	e, ok := x.entries[from]
-	if !ok || now.Compare(e.expires) >= 0 {
-		// No entry, or only a lapsed one: start a fresh incomplete entry
-		// (a lapsed complete ad does not still bound the member's
-		// capabilities — it could have changed while presumed dead).
-		e = &entry{
-			labels: make(map[model.LabelID]struct{}, len(labels)),
-			tasks:  make(map[model.TaskID]struct{}, len(tasks)),
-		}
-		x.entries[from] = e
-	}
+	e := x.observedLocked(from, now)
 	for _, l := range labels {
 		e.labels[l] = struct{}{}
 	}
 	for _, t := range tasks {
 		e.tasks[t] = struct{}{}
 	}
+}
+
+// ObserveFragments is ObservePartial for a fragment reply: the input
+// labels of every returned fragment fold straight into the member's
+// entry under one lock, with no intermediate label list.
+func (x *Index) ObserveFragments(from proto.Addr, frags []*model.Fragment) {
+	x.partials.Add(1)
+	now := x.clk.Now()
+	x.mu.Lock()
+	defer x.mu.Unlock()
+	e := x.observedLocked(from, now)
+	for _, f := range frags {
+		for _, t := range f.Tasks {
+			for _, in := range t.Inputs {
+				e.labels[in] = struct{}{}
+			}
+		}
+	}
+}
+
+// observedLocked returns the entry a partial observation of from at now
+// merges into, with its TTL restarted. With no entry, or only a lapsed
+// one, it starts a fresh incomplete entry: a lapsed complete ad does not
+// still bound the member's capabilities — they could have changed while
+// it was presumed dead. Callers hold x.mu.
+func (x *Index) observedLocked(from proto.Addr, now time.Time) *entry {
+	e, ok := x.entries[from]
+	if !ok || now.Compare(e.expires) >= 0 {
+		e = &entry{
+			labels: make(map[model.LabelID]struct{}),
+			tasks:  make(map[model.TaskID]struct{}),
+		}
+		x.entries[from] = e
+	}
 	e.expires = now.Add(x.ttl)
+	return e
 }
 
 // Forget drops a member's entry, forcing the next selection involving it
@@ -179,57 +208,129 @@ func (x *Index) Reset() {
 // and the caller must fall back to the full candidate list. Candidate
 // order is preserved.
 func (x *Index) SelectByLabels(candidates []proto.Addr, labels []model.LabelID) ([]proto.Addr, bool) {
-	return x.selectBy(candidates, func(e *entry) bool {
+	// Pre-size to the candidate list: one allocation per lookup, pinned
+	// by the route-lookup AllocBound test (this runs once per query hop).
+	selected := make([]proto.Addr, 0, len(candidates))
+	known := x.walk(candidates, func(c proto.Addr, e *entry) {
+		if !e.complete || e.anyLabel(labels) {
+			selected = append(selected, c)
+		}
+	})
+	if !x.settle(known, len(selected)) {
+		return nil, false
+	}
+	return selected, true
+}
+
+// Route is one member a fragment query goes to and the frontier labels
+// worth asking it.
+type Route struct {
+	Member proto.Addr
+	Labels []model.LabelID
+}
+
+// RouteByLabels is SelectByLabels that also trims the query per member:
+// a fresh complete entry is asked only the labels its advertisement
+// lists, in frontier order, and a partial entry the whole frontier (it
+// proves presence, not absence). A member with a complete ad consumes
+// nothing else, so its reply is exactly what the whole frontier would
+// have returned. Routes share the labels slice and one backing array;
+// callers must not modify them. The fallback contract is
+// SelectByLabels'.
+func (x *Index) RouteByLabels(candidates []proto.Addr, labels []model.LabelID) ([]Route, bool) {
+	routes := make([]Route, 0, len(candidates))
+	// Sized for the two common shapes in one allocation: each frontier
+	// label has about one consumer (every fragment lives on one member),
+	// or each member consumes about one frontier label.
+	trimmed := make([]model.LabelID, 0, max(len(labels), len(candidates)))
+	known := x.walk(candidates, func(c proto.Addr, e *entry) {
+		if !e.complete {
+			routes = append(routes, Route{Member: c, Labels: labels})
+			return
+		}
+		start := len(trimmed)
 		for _, l := range labels {
 			if _, ok := e.labels[l]; ok {
-				return true
+				trimmed = append(trimmed, l)
 			}
 		}
-		return false
+		// A later append may move trimmed; this route keeps the array
+		// it was carved from, whose first len(trimmed) slots never change.
+		if end := len(trimmed); end > start {
+			routes = append(routes, Route{Member: c, Labels: trimmed[start:end:end]})
+		}
 	})
+	if !x.settle(known, len(routes)) {
+		return nil, false
+	}
+	return routes, true
 }
 
 // SelectByTasks returns the members of candidates worth soliciting for
 // the given tasks, with the same fallback contract as SelectByLabels.
 func (x *Index) SelectByTasks(candidates []proto.Addr, tasks []model.TaskID) ([]proto.Addr, bool) {
-	return x.selectBy(candidates, func(e *entry) bool {
-		for _, t := range tasks {
-			if _, ok := e.tasks[t]; ok {
-				return true
-			}
+	selected := make([]proto.Addr, 0, len(candidates))
+	known := x.walk(candidates, func(c proto.Addr, e *entry) {
+		if !e.complete || e.anyTask(tasks) {
+			selected = append(selected, c)
 		}
-		return false
 	})
+	if !x.settle(known, len(selected)) {
+		return nil, false
+	}
+	return selected, true
 }
 
-func (x *Index) selectBy(candidates []proto.Addr, intersects func(*entry) bool) ([]proto.Addr, bool) {
+func (e *entry) anyLabel(labels []model.LabelID) bool {
+	for _, l := range labels {
+		if _, ok := e.labels[l]; ok {
+			return true
+		}
+	}
+	return false
+}
+
+func (e *entry) anyTask(tasks []model.TaskID) bool {
+	for _, t := range tasks {
+		if _, ok := e.tasks[t]; ok {
+			return true
+		}
+	}
+	return false
+}
+
+// walk visits the fresh entry of every candidate, in candidate order and
+// under the lock. A lapsed entry is skipped and counted as excluded: the
+// member stopped advertising for a full TTL and is presumed dead. walk
+// stops and reports false at the first candidate with no entry at all.
+func (x *Index) walk(candidates []proto.Addr, visit func(proto.Addr, *entry)) bool {
 	now := x.clk.Now()
-	// Pre-size to the candidate list: one allocation per lookup, pinned
-	// by the route-lookup AllocBound test (this runs once per query hop).
-	selected := make([]proto.Addr, 0, len(candidates))
 	x.mu.Lock()
+	defer x.mu.Unlock()
 	for _, c := range candidates {
 		e, ok := x.entries[c]
 		if !ok {
-			x.mu.Unlock()
-			x.misses.Add(1)
-			return nil, false
+			return false
 		}
 		if now.Compare(e.expires) >= 0 {
 			x.excluded.Add(1)
 			continue
 		}
-		if !e.complete || intersects(e) {
-			selected = append(selected, c)
-		}
+		visit(c, e)
 	}
-	x.mu.Unlock()
-	if len(selected) == 0 {
+	return true
+}
+
+// settle counts a selection of n members after a walk: a hit when every
+// candidate was known and someone was selected, otherwise a miss that
+// tells the caller to broadcast.
+func (x *Index) settle(known bool, n int) bool {
+	if !known || n == 0 {
 		x.misses.Add(1)
-		return nil, false
+		return false
 	}
 	x.hits.Add(1)
-	return selected, true
+	return true
 }
 
 // Fresh reports whether the member currently has an unexpired entry.

@@ -1,6 +1,7 @@
 package discovery
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"time"
@@ -290,4 +291,117 @@ func TestSelectAllocBounds(t *testing.T) {
 			t.Fatal("SelectByTasks fell back")
 		}
 	})
+	// The routes and one shared array for every trimmed label list.
+	testutil.AllocBound(t, 2, func() {
+		if _, ok := x.RouteByLabels(candidates, labels); !ok {
+			t.Fatal("RouteByLabels fell back")
+		}
+	})
+}
+
+// TestRouteByLabelsTrimsPerMember pins what each selected member is
+// asked: a fresh complete entry the frontier labels its ad lists, in
+// frontier order; a partial entry the whole frontier; a lapsed entry
+// nothing; and a never-seen candidate makes the whole route fall back.
+func TestRouteByLabelsTrimsPerMember(t *testing.T) {
+	sim := clock.NewSim(discT0)
+	x := New(sim, 10*time.Second)
+	x.ObserveAdvertise("lapsed", lbls("a", "b"), nil)
+	sim.Advance(10 * time.Second)
+	x.ObserveAdvertise("h1", lbls("a", "c", "zz"), nil)
+	x.ObservePartial("h2", lbls("z"), nil)
+	x.ObserveAdvertise("h3", lbls("q"), nil) // complete, no intersection
+	x.ObserveAdvertise("h4", lbls("d", "b"), nil)
+	x.ObserveAdvertise("h5", lbls("a", "b", "c", "d"), nil)
+
+	frontier := lbls("c", "b", "a", "d")
+	routes, ok := x.RouteByLabels([]proto.Addr{"h1", "lapsed", "h2", "h3", "h4", "h5"}, frontier)
+	if !ok {
+		t.Fatal("all candidates known: route should not fall back")
+	}
+	got := make(map[proto.Addr]string)
+	var order []proto.Addr
+	for _, r := range routes {
+		got[r.Member] = fmt.Sprint(r.Labels)
+		order = append(order, r.Member)
+	}
+	if fmt.Sprint(order) != "[h1 h2 h4 h5]" {
+		t.Fatalf("routed members = %v, want [h1 h2 h4 h5] in candidate order", order)
+	}
+	want := map[proto.Addr]string{
+		"h1": "[c a]",
+		"h2": "[c b a d]",
+		"h4": "[b d]",
+		"h5": "[c b a d]",
+	}
+	for m, w := range want {
+		if got[m] != w {
+			t.Errorf("%s asked %s, want %s", m, got[m], w)
+		}
+	}
+	if st := x.Stats(); st.Excluded != 1 || st.Hits != 1 {
+		t.Errorf("stats = %+v, want 1 excluded, 1 hit", st)
+	}
+
+	if routes, ok := x.RouteByLabels([]proto.Addr{"h1", "never"}, frontier); ok {
+		t.Fatalf("never-seen member must force fallback, got %v", routes)
+	}
+	if routes, ok := x.RouteByLabels([]proto.Addr{"h3"}, frontier); ok {
+		t.Fatalf("empty selection must fall back, got %v", routes)
+	}
+}
+
+// TestObserveFragmentsWidensCompleteEntry: a fragment reply folds its
+// input labels into the member's entry, so a member whose ad missed a
+// label it just proved it consumes is asked that label next time.
+func TestObserveFragmentsWidensCompleteEntry(t *testing.T) {
+	sim := clock.NewSim(discT0)
+	x := New(sim, 10*time.Second)
+	x.ObserveAdvertise("h1", lbls("a"), nil)
+	f := model.MustFragment("f", model.Task{ID: "t", Mode: model.Disjunctive, Inputs: lbls("e", "a"), Outputs: lbls("o")})
+	sim.Advance(8 * time.Second)
+	x.ObserveFragments("h1", []*model.Fragment{f})
+	sim.Advance(8 * time.Second) // fresh only because the reply refreshed it
+	routes, ok := x.RouteByLabels([]proto.Addr{"h1"}, lbls("e", "x"))
+	if !ok || len(routes) != 1 || fmt.Sprint(routes[0].Labels) != "[e]" {
+		t.Fatalf("routes = %v (ok=%v), want h1 asked [e]", routes, ok)
+	}
+	x.ObserveFragments("h2", []*model.Fragment{f}) // unknown member: partial entry
+	if routes, ok := x.RouteByLabels([]proto.Addr{"h2"}, lbls("x")); !ok || fmt.Sprint(routes[0].Labels) != "[x]" {
+		t.Fatalf("partial entry from a reply should get the whole frontier: %v (ok=%v)", routes, ok)
+	}
+	if st := x.Stats(); st.Partials != 2 {
+		t.Errorf("partials = %d, want 2", st.Partials)
+	}
+}
+
+// BenchmarkRouteByLabels routes one 30-label frontier over 12 members
+// whose complete ads each list 40 of 500 labels — the plan-deep shape.
+func BenchmarkRouteByLabels(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	x := New(clock.NewSim(discT0), time.Hour)
+	universe := make([]model.LabelID, 500)
+	for i := range universe {
+		universe[i] = model.LabelID(fmt.Sprintf("o%03d", i))
+	}
+	members := make([]proto.Addr, 12)
+	for i := range members {
+		members[i] = proto.Addr(fmt.Sprintf("host%02d", i))
+		ad := make([]model.LabelID, 0, 40)
+		for _, j := range rng.Perm(len(universe))[:40] {
+			ad = append(ad, universe[j])
+		}
+		x.ObserveAdvertise(members[i], ad, nil)
+	}
+	frontier := make([]model.LabelID, 0, 30)
+	for _, j := range rng.Perm(len(universe))[:30] {
+		frontier = append(frontier, universe[j])
+	}
+	if _, ok := x.RouteByLabels(members, frontier); !ok {
+		b.Fatal("route fell back")
+	}
+	b.ReportAllocs()
+	for b.Loop() {
+		x.RouteByLabels(members, frontier)
+	}
 }

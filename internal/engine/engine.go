@@ -23,6 +23,7 @@ import (
 
 	"openwf/internal/clock"
 	"openwf/internal/core"
+	"openwf/internal/discovery"
 	"openwf/internal/model"
 	"openwf/internal/proto"
 	"openwf/internal/spec"
@@ -318,15 +319,28 @@ type communityKnowledge struct {
 
 var _ core.KnowledgeSource = (*communityKnowledge)(nil)
 
-// FragmentsConsuming implements core.KnowledgeSource.
+// FragmentsConsuming implements core.KnowledgeSource. When the
+// messenger's directory routes the frontier, each selected member gets
+// its own query naming only the labels worth asking it; otherwise every
+// member shares one query for the whole frontier.
 func (ck *communityKnowledge) FragmentsConsuming(ctx context.Context, labels []model.LabelID) ([]*model.Fragment, error) {
-	var out []*model.Fragment
-	query := proto.FragmentQuery{Labels: labels}
-	members := ck.m.routeByLabels(ck.members, labels)
-	replies, err := ck.m.queryMembers(ctx, ck.wfID, query, members)
+	members := ck.members
+	if members == nil {
+		members = ck.m.net.Members()
+	}
+	var replies []memberReply
+	var err error
+	if routes, ok := ck.m.routeByLabels(members, labels); ok {
+		replies, err = ck.m.queryEach(ctx, ck.wfID, len(routes), func(i int) (proto.Addr, proto.Body) {
+			return routes[i].Member, proto.FragmentQuery{Labels: routes[i].Labels}
+		})
+	} else {
+		replies, err = ck.m.queryMembers(ctx, ck.wfID, proto.FragmentQuery{Labels: labels}, members)
+	}
 	if err != nil {
 		return nil, err
 	}
+	var out []*model.Fragment
 	for _, reply := range replies {
 		fr, ok := reply.body.(proto.FragmentReply)
 		if !ok {
@@ -350,32 +364,30 @@ const defaultQueryWorkers = 8
 // memberDirectory is implemented by messengers (internal/host) that keep
 // a capability index (internal/discovery). The engine consults it to
 // restrict community sweeps to members whose advertisements intersect
-// the query; ok=false means the directory cannot restrict (discovery
+// the query, and to trim each fragment query to the labels its member
+// advertises; ok=false means the directory cannot restrict (discovery
 // disabled, cold index, or a forced fallback) and the caller uses the
 // full candidate list, so plans are never lost to a stale index.
 type memberDirectory interface {
-	SelectByLabels(candidates []proto.Addr, labels []model.LabelID) ([]proto.Addr, bool)
+	RouteByLabels(candidates []proto.Addr, labels []model.LabelID) ([]discovery.Route, bool)
 	SelectByTasks(candidates []proto.Addr, tasks []model.TaskID) ([]proto.Addr, bool)
 }
 
-// routeByLabels restricts candidates (nil = the full community view) to
-// the members worth asking a fragment query for labels. Falls back to
-// the unrestricted list whenever the messenger has no directory or the
-// directory declines.
-func (m *Manager) routeByLabels(candidates []proto.Addr, labels []model.LabelID) []proto.Addr {
-	if candidates == nil {
-		candidates = m.net.Members()
-	}
+// routeByLabels asks the messenger's directory which of candidates to
+// send a fragment query for labels, and what to ask each. ok is false
+// when the messenger has no directory or the directory declines; the
+// caller then sends every candidate the whole frontier.
+func (m *Manager) routeByLabels(candidates []proto.Addr, labels []model.LabelID) ([]discovery.Route, bool) {
 	if dir, ok := m.net.(memberDirectory); ok {
-		if sel, ok := dir.SelectByLabels(candidates, labels); ok {
-			return sel
-		}
+		return dir.RouteByLabels(candidates, labels)
 	}
-	return candidates
+	return nil, false
 }
 
-// routeByTasks restricts candidates to the members worth soliciting for
-// tasks, with the same fallback contract as routeByLabels.
+// routeByTasks restricts candidates (nil = the full community view) to
+// the members worth soliciting for tasks. It falls back to the
+// unrestricted list whenever the messenger has no directory or the
+// directory declines.
 func (m *Manager) routeByTasks(candidates []proto.Addr, tasks []model.TaskID) []proto.Addr {
 	if candidates == nil {
 		candidates = m.net.Members()
@@ -429,9 +441,18 @@ func (m *Manager) queryMembers(ctx context.Context, wfID string, query proto.Bod
 	if members == nil {
 		members = m.net.Members()
 	}
+	return m.queryEach(ctx, wfID, len(members), func(i int) (proto.Addr, proto.Body) {
+		return members[i], query
+	})
+}
+
+// queryEach sends n queries, the i-th built by target, and gathers the
+// replies in target order, with queryAll's pacing and error contract.
+func (m *Manager) queryEach(ctx context.Context, wfID string, n int, target func(i int) (proto.Addr, proto.Body)) ([]memberReply, error) {
 	if !m.cfg.ParallelQuery {
-		replies := make([]memberReply, 0, len(members))
-		for _, member := range members {
+		replies := make([]memberReply, 0, n)
+		for i := 0; i < n; i++ {
+			member, query := target(i)
 			reply, err := m.net.Call(ctx, member, wfID, query, m.cfg.CallTimeout)
 			if err != nil {
 				if ctx.Err() != nil {
@@ -443,25 +464,23 @@ func (m *Manager) queryMembers(ctx context.Context, wfID string, query proto.Bod
 		}
 		return replies, nil
 	}
-	results := make([]memberReply, len(members))
-	errs := make([]error, len(members))
+	results := make([]memberReply, n)
 	var next atomic.Int64
 	var wg sync.WaitGroup
-	for w := m.queryConcurrency(len(members)); w > 0; w-- {
+	for w := m.queryConcurrency(n); w > 0; w-- {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for {
 				i := int(next.Add(1)) - 1
-				if i >= len(members) || ctx.Err() != nil {
+				if i >= n || ctx.Err() != nil {
 					return
 				}
-				reply, err := m.net.Call(ctx, members[i], wfID, query, m.cfg.CallTimeout)
-				if err != nil {
-					errs[i] = err
-					continue
+				member, query := target(i)
+				reply, err := m.net.Call(ctx, member, wfID, query, m.cfg.CallTimeout)
+				if err == nil {
+					results[i] = memberReply{from: member, body: reply}
 				}
-				results[i] = memberReply{from: members[i], body: reply}
 			}
 		}()
 	}
@@ -469,10 +488,10 @@ func (m *Manager) queryMembers(ctx context.Context, wfID string, query proto.Bod
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	replies := make([]memberReply, 0, len(members))
-	for i := range results {
-		if errs[i] == nil && results[i].body != nil {
-			replies = append(replies, results[i])
+	replies := make([]memberReply, 0, n)
+	for _, r := range results {
+		if r.body != nil {
+			replies = append(replies, r)
 		}
 	}
 	return replies, nil

@@ -3,11 +3,19 @@
 // (the participant's knowhow) and answers knowhow queries issued during
 // workflow construction — returning the fragments that can extend the
 // querying supergraph at the boundary of its colored region.
+//
+// Stored fragments are immutable: Add stores a private clone, and every
+// fragment the Manager returns is that stored value, shared with the
+// store and with every other caller. Callers must not modify a returned
+// fragment. Replies are encoded, or handed to core.Supergraph.AddFragment
+// (which only reads them and keeps none of their slices) when an
+// in-memory transport skips the codec.
 package fragment
 
 import (
 	"fmt"
-	"sort"
+	"slices"
+	"strings"
 	"sync"
 
 	"openwf/internal/model"
@@ -17,21 +25,23 @@ import (
 type Manager struct {
 	mu    sync.RWMutex
 	frags map[string]*model.Fragment
-	// consumerIdx maps each label to the names of fragments with a task
-	// consuming it, for efficient frontier queries.
-	consumerIdx map[model.LabelID]map[string]struct{}
+	// consumers maps each label to the stored fragments with a task
+	// consuming it, sorted by name, each fragment once — the layout of
+	// core.Store's consumer index.
+	consumers map[model.LabelID][]*model.Fragment
 }
 
 // NewManager returns an empty fragment manager.
 func NewManager() *Manager {
 	return &Manager{
-		frags:       make(map[string]*model.Fragment),
-		consumerIdx: make(map[model.LabelID]map[string]struct{}),
+		frags:     make(map[string]*model.Fragment),
+		consumers: make(map[model.LabelID][]*model.Fragment),
 	}
 }
 
-// Add stores a fragment (validated). Adding a fragment with a name already
-// present replaces it.
+// Add stores a clone of a fragment (validated), so the caller may keep
+// modifying its own copy. Adding a fragment with a name already present
+// replaces it.
 func (m *Manager) Add(f *model.Fragment) error {
 	if err := f.Validate(); err != nil {
 		return fmt.Errorf("adding fragment: %w", err)
@@ -60,15 +70,18 @@ func (m *Manager) Remove(name string) bool {
 	return true
 }
 
+func byName(a, b *model.Fragment) int { return strings.Compare(a.Name, b.Name) }
+
+// indexLocked inserts f into the consumer list of every label it
+// consumes, at its name position. A label several of f's tasks consume
+// finds f already there and is skipped.
 func (m *Manager) indexLocked(f *model.Fragment) {
 	for _, t := range f.Tasks {
 		for _, in := range t.Inputs {
-			set, ok := m.consumerIdx[in]
-			if !ok {
-				set = make(map[string]struct{})
-				m.consumerIdx[in] = set
+			list := m.consumers[in]
+			if i, found := slices.BinarySearchFunc(list, f, byName); !found {
+				m.consumers[in] = slices.Insert(list, i, f)
 			}
-			set[f.Name] = struct{}{}
 		}
 	}
 }
@@ -76,53 +89,53 @@ func (m *Manager) indexLocked(f *model.Fragment) {
 func (m *Manager) unindexLocked(f *model.Fragment) {
 	for _, t := range f.Tasks {
 		for _, in := range t.Inputs {
-			if set, ok := m.consumerIdx[in]; ok {
-				delete(set, f.Name)
-				if len(set) == 0 {
-					delete(m.consumerIdx, in)
-				}
+			list := m.consumers[in]
+			i, found := slices.BinarySearchFunc(list, f, byName)
+			if !found {
+				continue // already removed for an earlier task
+			}
+			if list = slices.Delete(list, i, i+1); len(list) == 0 {
+				delete(m.consumers, in)
+			} else {
+				m.consumers[in] = list
 			}
 		}
 	}
 }
 
-// Consuming returns clones of every fragment containing a task that
+// Consuming returns every stored fragment containing a task that
 // consumes any of the given labels — the reply to a Fragment Message
-// query. Results are ordered by fragment name.
+// query — ordered by name, each once. The fragments are shared with the
+// store and must not be modified; the slice is the caller's.
 func (m *Manager) Consuming(labels []model.LabelID) []*model.Fragment {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
-	names := make(map[string]struct{})
+	n := 0
 	for _, l := range labels {
-		for name := range m.consumerIdx[l] {
-			names[name] = struct{}{}
-		}
+		n += len(m.consumers[l])
 	}
-	sorted := make([]string, 0, len(names))
-	for name := range names {
-		sorted = append(sorted, name)
+	if n == 0 {
+		return nil
 	}
-	sort.Strings(sorted)
-	out := make([]*model.Fragment, 0, len(sorted))
-	for _, name := range sorted {
-		out = append(out, m.frags[name].Clone())
+	out := make([]*model.Fragment, 0, n)
+	for _, l := range labels {
+		out = append(out, m.consumers[l]...)
 	}
-	return out
+	slices.SortFunc(out, byName)
+	// Names are unique in the store, so equal names are the same pointer.
+	return slices.Compact(out)
 }
 
-// All returns clones of every stored fragment, ordered by name.
+// All returns every stored fragment, ordered by name. The fragments are
+// shared with the store and must not be modified.
 func (m *Manager) All() []*model.Fragment {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
-	names := make([]string, 0, len(m.frags))
-	for name := range m.frags {
-		names = append(names, name)
+	out := make([]*model.Fragment, 0, len(m.frags))
+	for _, f := range m.frags {
+		out = append(out, f)
 	}
-	sort.Strings(names)
-	out := make([]*model.Fragment, 0, len(names))
-	for _, name := range names {
-		out = append(out, m.frags[name].Clone())
-	}
+	slices.SortFunc(out, byName)
 	return out
 }
 
@@ -133,11 +146,11 @@ func (m *Manager) All() []*model.Fragment {
 func (m *Manager) ConsumedLabels() []model.LabelID {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
-	out := make([]model.LabelID, 0, len(m.consumerIdx))
-	for l := range m.consumerIdx {
+	out := make([]model.LabelID, 0, len(m.consumers))
+	for l := range m.consumers {
 		out = append(out, l)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }
 

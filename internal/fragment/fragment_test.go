@@ -7,6 +7,7 @@ import (
 	"testing/quick"
 
 	"openwf/internal/model"
+	"openwf/internal/testutil"
 )
 
 func lbl(ls ...string) []model.LabelID {
@@ -101,17 +102,138 @@ func TestRemove(t *testing.T) {
 	}
 }
 
-func TestConsumingReturnsClones(t *testing.T) {
+// TestAddIsolatesStoreFromCaller: Add is the one place that clones, so
+// a caller that keeps modifying its own fragment after Add cannot change
+// what the store answers.
+func TestAddIsolatesStoreFromCaller(t *testing.T) {
 	m := NewManager()
-	if err := m.Add(frag(t, "f", "a", "b")); err != nil {
+	f := frag(t, "f", "a", "b")
+	if err := m.Add(f); err != nil {
 		t.Fatal(err)
 	}
+	f.Tasks[0].Inputs[0] = "mutated"
+	f.Name = "renamed"
 	got := m.Consuming(lbl("a"))
-	got[0].Tasks[0].Inputs[0] = "mutated"
-	again := m.Consuming(lbl("a"))
-	if again[0].Tasks[0].Inputs[0] != "a" {
-		t.Error("Consuming exposed internal state")
+	if len(got) != 1 || got[0].Name != "f" || got[0].Tasks[0].Inputs[0] != "a" {
+		t.Fatalf("store changed with the caller's copy: %v", got)
 	}
+	if got := m.Consuming(lbl("mutated")); len(got) != 0 {
+		t.Fatalf("caller's mutation reached the index: %v", got)
+	}
+}
+
+// TestConsumingSharesStoredFragments pins the reply contract: stored
+// fragments themselves (no copies), in name order, each once even when
+// it consumes several of the queried labels or a label is queried twice.
+func TestConsumingSharesStoredFragments(t *testing.T) {
+	m := NewManager()
+	multi, err := model.NewFragment("m-both",
+		model.Task{ID: "t1", Mode: model.Conjunctive, Inputs: lbl("a"), Outputs: lbl("x")},
+		model.Task{ID: "t2", Mode: model.Conjunctive, Inputs: lbl("b", "a"), Outputs: lbl("y")},
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range []*model.Fragment{frag(t, "z-b", "b", "c"), multi, frag(t, "a-a", "a", "d"), frag(t, "q-other", "e", "f")} {
+		if err := m.Add(f); err != nil {
+			t.Fatal(err)
+		}
+	}
+	got := m.Consuming(lbl("b", "a", "b"))
+	var names []string
+	for _, f := range got {
+		names = append(names, f.Name)
+	}
+	if fmt.Sprint(names) != "[a-a m-both z-b]" {
+		t.Fatalf("Consuming(b,a,b) = %v, want [a-a m-both z-b]", names)
+	}
+	all := m.All()
+	byName := make(map[string]*model.Fragment)
+	for _, f := range all {
+		byName[f.Name] = f
+	}
+	for _, f := range got {
+		if byName[f.Name] != f {
+			t.Errorf("Consuming returned a copy of %q, not the stored fragment", f.Name)
+		}
+	}
+	if again := m.Consuming(lbl("a")); again[1] != got[1] {
+		t.Error("two queries returned different values for one stored fragment")
+	}
+}
+
+// TestReplaceAndRemoveLeaveNoStaleIndex checks the label index itself
+// after replace-by-name and Remove: every list holds live fragments
+// only, sorted by name, each once, and no label keeps an empty list.
+func TestReplaceAndRemoveLeaveNoStaleIndex(t *testing.T) {
+	m := NewManager()
+	check := func(step string) {
+		t.Helper()
+		for l, list := range m.consumers {
+			if len(list) == 0 {
+				t.Fatalf("%s: label %q keeps an empty list", step, l)
+			}
+			for i, f := range list {
+				if m.frags[f.Name] != f {
+					t.Fatalf("%s: label %q lists a dead fragment %q", step, l, f.Name)
+				}
+				if i > 0 && list[i-1].Name >= f.Name {
+					t.Fatalf("%s: label %q list not strictly sorted: %q then %q", step, l, list[i-1].Name, f.Name)
+				}
+				if !f.ConsumesAny(map[model.LabelID]struct{}{l: {}}) {
+					t.Fatalf("%s: label %q lists %q, which does not consume it", step, l, f.Name)
+				}
+			}
+		}
+	}
+	two, err := model.NewFragment("f",
+		model.Task{ID: "t1", Mode: model.Conjunctive, Inputs: lbl("a"), Outputs: lbl("b")},
+		model.Task{ID: "t2", Mode: model.Conjunctive, Inputs: lbl("a", "b"), Outputs: lbl("c")},
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range []*model.Fragment{two, frag(t, "g", "a", "d"), frag(t, "e", "b", "d")} {
+		if err := m.Add(f); err != nil {
+			t.Fatal(err)
+		}
+	}
+	check("add")
+	if err := m.Add(frag(t, "f", "x", "y")); err != nil { // replaces both of f's tasks
+		t.Fatal(err)
+	}
+	check("replace")
+	if got := m.Consuming(lbl("a")); len(got) != 1 || got[0].Name != "g" {
+		t.Fatalf("after replace Consuming(a) = %v, want [g]", got)
+	}
+	m.Remove("g")
+	m.Remove("e")
+	check("remove")
+	if len(m.consumers) != 1 || len(m.consumers["x"]) != 1 {
+		t.Fatalf("index after removes = %v, want only x -> [f]", m.consumers)
+	}
+	m.Remove("f")
+	check("remove all")
+	if len(m.consumers) != 0 {
+		t.Fatalf("empty store keeps index entries: %v", m.consumers)
+	}
+}
+
+// TestConsumingAllocBound pins a warmed query at the result slice alone:
+// no name set, no per-name lookup, no clones.
+func TestConsumingAllocBound(t *testing.T) {
+	m := NewManager()
+	for i := 0; i < 50; i++ {
+		if err := m.Add(frag(t, fmt.Sprintf("f%02d", i), fmt.Sprintf("l%d", i%10), fmt.Sprintf("o%d", i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	query := lbl("l1", "l3", "l5", "l7", "nobody")
+	testutil.AllocBound(t, 1, func() {
+		if got := m.Consuming(query); len(got) != 20 {
+			t.Fatalf("Consuming returned %d fragments, want 20", len(got))
+		}
+	})
 }
 
 func TestMultiTaskFragmentIndexing(t *testing.T) {

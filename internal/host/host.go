@@ -501,22 +501,9 @@ func (h *Host) observeReply(env proto.Envelope) {
 	}
 	switch b := env.Body.(type) {
 	case proto.FragmentReply:
-		if len(b.Fragments) == 0 {
-			return
+		if len(b.Fragments) > 0 {
+			h.index.ObserveFragments(env.From, b.Fragments)
 		}
-		var labels []model.LabelID
-		seen := make(map[model.LabelID]struct{})
-		for _, f := range b.Fragments {
-			for _, t := range f.Tasks {
-				for _, in := range t.Inputs {
-					if _, dup := seen[in]; !dup {
-						seen[in] = struct{}{}
-						labels = append(labels, in)
-					}
-				}
-			}
-		}
-		h.index.ObservePartial(env.From, labels, nil)
 	case proto.FeasibilityReply:
 		if len(b.Capable) > 0 {
 			h.index.ObservePartial(env.From, nil, b.Capable)
@@ -782,14 +769,25 @@ func (h *Host) AdvertiseNow(ctx context.Context) error {
 	return nil
 }
 
-// SelectByLabels implements the engine's member directory: the members
-// of candidates worth asking a fragment query for labels. ok is false
-// when the index cannot restrict and the caller must use the full list.
+// SelectByLabels returns the members of candidates worth asking a
+// fragment query for labels. ok is false when the index cannot restrict
+// and the caller must use the full list.
 func (h *Host) SelectByLabels(candidates []proto.Addr, labels []model.LabelID) ([]proto.Addr, bool) {
 	if h.index == nil || len(labels) == 0 {
 		return nil, false
 	}
 	return h.index.SelectByLabels(candidates, labels)
+}
+
+// RouteByLabels implements the engine's member directory for fragment
+// queries: the members of candidates worth asking, each with the labels
+// worth asking it (discovery.Index.RouteByLabels). ok is false when the
+// index cannot restrict and every member gets the whole frontier.
+func (h *Host) RouteByLabels(candidates []proto.Addr, labels []model.LabelID) ([]discovery.Route, bool) {
+	if h.index == nil || len(labels) == 0 {
+		return nil, false
+	}
+	return h.index.RouteByLabels(candidates, labels)
 }
 
 // SelectByTasks implements the engine's member directory for capability

@@ -3,7 +3,7 @@ package schedule
 import (
 	"fmt"
 	"math/rand"
-	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -79,24 +79,60 @@ func errString(err error) string {
 	return err.Error()
 }
 
+// calendar is the surface the calendar property test drives: *Manager
+// and the reference calendar both implement it.
+type calendar interface {
+	CanCommit(meta proto.TaskMeta) (Commitment, error)
+	Hold(workflow string, meta proto.TaskMeta, deadline time.Time) (Commitment, error)
+	HoldBatch(workflow string, metas []proto.TaskMeta, deadline time.Time) []HoldResult
+	RefreshHold(workflow string, task model.TaskID, deadline time.Time) (Commitment, error)
+	Commit(workflow string, meta proto.TaskMeta, lease time.Time) (Commitment, error)
+	CommitHeld(workflow string, task model.TaskID, lease time.Time) (Commitment, error)
+	RefreshCommitLease(workflow string, task model.TaskID, lease time.Time) error
+	Release(workflow string, task model.TaskID)
+	ReleaseWorkflow(workflow string) int
+	ExpireHolds(now time.Time) int
+	ExpireCommitments(now time.Time) []Commitment
+	Remove(workflow string, task model.TaskID) bool
+	Commitments() []Commitment
+	HeldTasks() []Commitment
+	Holds() int
+	NextExpiry() (time.Time, bool)
+}
+
+func render(c Commitment, err error) string { return fmt.Sprintf("%+v %q", c, errString(err)) }
+
 // TestCrossShardDifferentialVsUnshardedOracle drives identical seeded
 // random operation sequences — with execution windows sized and offset
-// to straddle band boundaries — against a default-sharded manager and a
-// Shards: 1 oracle (a single lock, trivially equivalent to the pre-
-// sharding implementation). Every return value, every error string
-// (conflict attribution included), and the full calendar state must
-// match, and busy intervals must never overlap.
+// to straddle band boundaries — against a default-sharded manager, a
+// Shards: 1 manager and refCalendar, the naive reference calendar that
+// shares no code with the implementation and is the oracle. Every
+// return value, every error string (conflict attribution included) and
+// the full calendar state must match the reference after every op, and
+// after every op both managers must keep their bookkeeping (capacity
+// counter = live holds + commitments, no band registration of a dead
+// record) and no two busy intervals may overlap. Besides the plain
+// protocol ops the sequence re-commits, commits over a commitment,
+// commits after a release, refreshes holds and leases after they
+// expired, and runs under capped, tight and uncapped MaxCommitments.
 func TestCrossShardDifferentialVsUnshardedOracle(t *testing.T) {
 	workflows := []string{"wf-0", "wf-1", "wf-2", "wf-3"}
+	caps := []int{12, 4, 0}
 	for seed := int64(1); seed <= 8; seed++ {
 		seed := seed
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed))
-			prefs := Preferences{MaxCommitments: 12}
-			sharded := NewManagerTuned(clock.NewSim(t0), space.NewMover(space.Point{}, 1), prefs,
-				Tuning{Shards: 16, BandWidth: time.Minute})
-			oracle := NewManagerTuned(clock.NewSim(t0), space.NewMover(space.Point{}, 1), prefs,
-				Tuning{Shards: 1, BandWidth: time.Minute})
+			prefs := Preferences{MaxCommitments: caps[seed%3]}
+			ref := &refCalendar{now: t0, speed: 1, max: prefs.MaxCommitments}
+			impls := []struct {
+				name string
+				m    *Manager
+			}{
+				{"shards=16", NewManagerTuned(clock.NewSim(t0), space.NewMover(space.Point{}, 1), prefs,
+					Tuning{Shards: 16, BandWidth: time.Minute})},
+				{"shards=1", NewManagerTuned(clock.NewSim(t0), space.NewMover(space.Point{}, 1), prefs,
+					Tuning{Shards: 1, BandWidth: time.Minute})},
+			}
 
 			// Windows start at second granularity within a few minutes
 			// of t0+1h and run 15 s – 5 min, so most straddle at least
@@ -107,8 +143,9 @@ func TestCrossShardDifferentialVsUnshardedOracle(t *testing.T) {
 					time.Duration(rng.Intn(60))*time.Second)
 				return start, start.Add(time.Duration(15+rng.Intn(285)) * time.Second)
 			}
+			randTask := func() model.TaskID { return model.TaskID(fmt.Sprintf("t%02d", rng.Intn(12))) }
 			randMeta := func() proto.TaskMeta {
-				task := fmt.Sprintf("t%02d", rng.Intn(12))
+				task := string(randTask())
 				start, end := window()
 				if rng.Intn(5) == 0 {
 					// Located tasks: travel (speed 1 m/s, ≤ 45 m)
@@ -117,109 +154,171 @@ func TestCrossShardDifferentialVsUnshardedOracle(t *testing.T) {
 				}
 				return meta(task, start, end)
 			}
-
-			compareState := func(op int) {
-				t.Helper()
-				if got, want := sharded.Commitments(), oracle.Commitments(); !reflect.DeepEqual(got, want) {
-					t.Fatalf("op %d: commitments diverge\nsharded: %+v\noracle:  %+v", op, got, want)
+			randLease := func() time.Time {
+				if rng.Intn(2) == 0 {
+					return time.Time{}
 				}
-				if got, want := sharded.HeldTasks(), oracle.HeldTasks(); !reflect.DeepEqual(got, want) {
-					t.Fatalf("op %d: held tasks diverge\nsharded: %+v\noracle:  %+v", op, got, want)
-				}
-				if got, want := sharded.Holds(), oracle.Holds(); got != want {
-					t.Fatalf("op %d: hold counts diverge: sharded %d, oracle %d", op, got, want)
-				}
-				assertNoOverlap(t, sharded)
+				return t0.Add(time.Duration(1+rng.Intn(10)) * time.Minute)
 			}
+			// pick returns a random live record of the reference.
+			pick := func(held bool) (refRec, bool) {
+				var live []refRec
+				for _, x := range ref.recs {
+					if x.held == held {
+						live = append(live, x)
+					}
+				}
+				if len(live) == 0 {
+					return refRec{}, false
+				}
+				return live[rng.Intn(len(live))], true
+			}
+
+			// do runs one operation on the reference and on every
+			// manager and requires identical renderings of the results.
+			do := func(op int, what string, f func(calendar) string) string {
+				t.Helper()
+				want := f(ref)
+				for _, im := range impls {
+					if got := f(im.m); got != want {
+						t.Fatalf("op %d: %s on %s diverges from the reference:\ngot:  %s\nwant: %s",
+							op, what, im.name, got, want)
+					}
+				}
+				return want
+			}
+			state := func(c calendar) string {
+				next, ok := c.NextExpiry()
+				return fmt.Sprintf("commitments %+v\nholds %+v (%d)\nnext expiry %v %v",
+					c.Commitments(), c.HeldTasks(), c.Holds(), next, ok)
+			}
+			// ok reports whether a rendered result carries no error.
+			ok := func(res string) bool { return strings.HasSuffix(res, ` ""`) }
+			var recommits, overCommits, afterRelease, expiredRefreshes, atCapacity int
 
 			for op := 0; op < 500; op++ {
 				wf := workflows[rng.Intn(len(workflows))]
 				deadline := t0.Add(time.Duration(30+rng.Intn(120)) * time.Second)
-				switch rng.Intn(12) {
+				switch rng.Intn(17) {
 				case 0, 1, 2:
 					md := randMeta()
-					cs, es := sharded.Hold(wf, md, deadline)
-					co, eo := oracle.Hold(wf, md, deadline)
-					if errString(es) != errString(eo) || !reflect.DeepEqual(cs, co) {
-						t.Fatalf("op %d: Hold(%s, %s) diverges:\nsharded: %+v, %q\noracle:  %+v, %q",
-							op, wf, md.Task, cs, errString(es), co, errString(eo))
+					res := do(op, "Hold", func(c calendar) string { return render(c.Hold(wf, md, deadline)) })
+					if strings.Contains(res, "at commitment capacity") {
+						atCapacity++
 					}
 				case 3:
 					metas := make([]proto.TaskMeta, 1+rng.Intn(4))
 					for i := range metas {
 						metas[i] = randMeta()
 					}
-					rs := sharded.HoldBatch(wf, metas, deadline)
-					ro := oracle.HoldBatch(wf, metas, deadline)
-					for i := range rs {
-						if errString(rs[i].Err) != errString(ro[i].Err) ||
-							!reflect.DeepEqual(rs[i].Commitment, ro[i].Commitment) {
-							t.Fatalf("op %d: HoldBatch[%d] (%s) diverges:\nsharded: %+v, %q\noracle:  %+v, %q",
-								op, i, metas[i].Task, rs[i].Commitment, errString(rs[i].Err),
-								ro[i].Commitment, errString(ro[i].Err))
+					do(op, "HoldBatch", func(c calendar) string {
+						var b strings.Builder
+						for _, r := range c.HoldBatch(wf, metas, deadline) {
+							b.WriteString(render(r.Commitment, r.Err) + "\n")
 						}
-					}
+						return b.String()
+					})
 				case 4:
-					md := randMeta()
-					var lease time.Time
-					if rng.Intn(2) == 0 {
-						lease = t0.Add(time.Duration(1+rng.Intn(10)) * time.Minute)
-					}
-					cs, es := sharded.Commit(wf, md, lease)
-					co, eo := oracle.Commit(wf, md, lease)
-					if errString(es) != errString(eo) || !reflect.DeepEqual(cs, co) {
-						t.Fatalf("op %d: Commit(%s, %s) diverges:\nsharded: %+v, %q\noracle:  %+v, %q",
-							op, wf, md.Task, cs, errString(es), co, errString(eo))
-					}
+					md, lease := randMeta(), randLease()
+					do(op, "Commit", func(c calendar) string { return render(c.Commit(wf, md, lease)) })
 				case 5:
-					task := model.TaskID(fmt.Sprintf("t%02d", rng.Intn(12)))
-					cs, es := sharded.CommitHeld(wf, task, time.Time{})
-					co, eo := oracle.CommitHeld(wf, task, time.Time{})
-					if errString(es) != errString(eo) || !reflect.DeepEqual(cs, co) {
-						t.Fatalf("op %d: CommitHeld(%s, %s) diverges: %q vs %q",
-							op, wf, task, errString(es), errString(eo))
-					}
+					task := randTask()
+					do(op, "CommitHeld", func(c calendar) string { return render(c.CommitHeld(wf, task, time.Time{})) })
 				case 6:
-					task := model.TaskID(fmt.Sprintf("t%02d", rng.Intn(12)))
-					cs, es := sharded.RefreshHold(wf, task, deadline)
-					co, eo := oracle.RefreshHold(wf, task, deadline)
-					if errString(es) != errString(eo) || !reflect.DeepEqual(cs, co) {
-						t.Fatalf("op %d: RefreshHold(%s, %s) diverges: %q vs %q",
-							op, wf, task, errString(es), errString(eo))
-					}
+					task := randTask()
+					do(op, "RefreshHold", func(c calendar) string { return render(c.RefreshHold(wf, task, deadline)) })
 				case 7:
-					task := model.TaskID(fmt.Sprintf("t%02d", rng.Intn(12)))
-					sharded.Release(wf, task)
-					oracle.Release(wf, task)
+					task := randTask()
+					do(op, "Release", func(c calendar) string { c.Release(wf, task); return "" })
 				case 8:
-					if ns, no := sharded.ReleaseWorkflow(wf), oracle.ReleaseWorkflow(wf); ns != no {
-						t.Fatalf("op %d: ReleaseWorkflow(%s) diverges: %d vs %d", op, wf, ns, no)
-					}
+					do(op, "ReleaseWorkflow", func(c calendar) string { return fmt.Sprint(c.ReleaseWorkflow(wf)) })
 				case 9:
 					now := t0.Add(time.Duration(rng.Intn(180)) * time.Second)
-					if ns, no := sharded.ExpireHolds(now), oracle.ExpireHolds(now); ns != no {
-						t.Fatalf("op %d: ExpireHolds diverges: %d vs %d", op, ns, no)
-					}
+					do(op, "ExpireHolds", func(c calendar) string { return fmt.Sprint(c.ExpireHolds(now)) })
 				case 10:
 					now := t0.Add(time.Duration(rng.Intn(12)) * time.Minute)
-					es, eo := sharded.ExpireCommitments(now), oracle.ExpireCommitments(now)
-					if !reflect.DeepEqual(es, eo) {
-						t.Fatalf("op %d: ExpireCommitments diverges:\nsharded: %+v\noracle:  %+v", op, es, eo)
-					}
+					do(op, "ExpireCommitments", func(c calendar) string { return fmt.Sprintf("%+v", c.ExpireCommitments(now)) })
 				case 11:
 					md := randMeta()
-					cs, es := sharded.CanCommit(md)
-					co, eo := oracle.CanCommit(md)
-					if errString(es) != errString(eo) || !reflect.DeepEqual(cs, co) {
-						t.Fatalf("op %d: CanCommit(%s) diverges: %q vs %q",
-							op, md.Task, errString(es), errString(eo))
+					do(op, "CanCommit", func(c calendar) string { return render(c.CanCommit(md)) })
+				case 12: // re-commit a committed key in a new window
+					x, found := pick(false)
+					if !found {
+						break
 					}
+					md, lease := randMeta(), randLease()
+					md.Task = x.c.Task
+					if ok(do(op, "re-Commit", func(c calendar) string { return render(c.Commit(x.c.Workflow, md, lease)) })) {
+						recommits++
+					}
+				case 13: // commit another key over a commitment's window
+					x, found := pick(false)
+					if !found {
+						break
+					}
+					md := x.c.Meta
+					md.Task = randTask()
+					res := do(op, "Commit over a commitment", func(c calendar) string { return render(c.Commit(wf, md, time.Time{})) })
+					if strings.Contains(res, "slot busy") {
+						overCommits++
+					}
+				case 14: // commit after release
+					md, lease := randMeta(), randLease()
+					if !ok(do(op, "Hold", func(c calendar) string { return render(c.Hold(wf, md, deadline)) })) {
+						break
+					}
+					do(op, "Release", func(c calendar) string { c.Release(wf, md.Task); return "" })
+					if ok(do(op, "Commit after release", func(c calendar) string { return render(c.Commit(wf, md, lease)) })) {
+						afterRelease++
+					}
+				case 15: // refresh and re-hold a hold after it expired
+					x, found := pick(true)
+					if !found {
+						break
+					}
+					now := x.expiry.Add(time.Second)
+					do(op, "ExpireHolds", func(c calendar) string { return fmt.Sprint(c.ExpireHolds(now)) })
+					if !ok(do(op, "RefreshHold after expiry", func(c calendar) string {
+						return render(c.RefreshHold(x.c.Workflow, x.c.Task, deadline))
+					})) {
+						expiredRefreshes++
+					}
+					do(op, "HoldBatch after expiry", func(c calendar) string {
+						r := c.HoldBatch(x.c.Workflow, []proto.TaskMeta{x.c.Meta}, deadline)
+						return render(r[0].Commitment, r[0].Err)
+					})
+				case 16: // refresh a lease after it lapsed
+					var leased []refRec
+					for _, r := range ref.recs {
+						if !r.held && !r.lease.IsZero() {
+							leased = append(leased, r)
+						}
+					}
+					if len(leased) == 0 {
+						break
+					}
+					x := leased[rng.Intn(len(leased))]
+					now := x.lease.Add(time.Second)
+					do(op, "ExpireCommitments", func(c calendar) string { return fmt.Sprintf("%+v", c.ExpireCommitments(now)) })
+					do(op, "RefreshCommitLease after expiry", func(c calendar) string {
+						return errString(c.RefreshCommitLease(x.c.Workflow, x.c.Task, now.Add(time.Minute)))
+					})
 				}
-				if op%50 == 0 {
-					compareState(op)
+				do(op, "state", state)
+				for _, im := range impls {
+					assertBookkeeping(t, im.m, fmt.Sprintf("op %d on %s", op, im.name))
+					assertNoOverlap(t, im.m)
 				}
 			}
-			compareState(500)
+			t.Logf("re-commits %d, commits refused over a commitment %d, commits after release %d, "+
+				"refreshes refused after expiry %d, holds refused at capacity %d",
+				recommits, overCommits, afterRelease, expiredRefreshes, atCapacity)
+			if recommits == 0 || overCommits == 0 || afterRelease == 0 || expiredRefreshes == 0 {
+				t.Error("a targeted op never reached its interesting path; widen the sequence")
+			}
+			if prefs.MaxCommitments == 4 && atCapacity == 0 {
+				t.Error("tight capacity cap never refused a hold")
+			}
 		})
 	}
 }
